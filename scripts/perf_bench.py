@@ -60,7 +60,7 @@ from repro.core import PropConfig
 from repro.core.engine import run_prop
 from repro.core.probability import make_probability_fn
 from repro.hypergraph import hierarchical_circuit, make_benchmark
-from repro.kernels import make_gain_engine, numpy_available
+from repro.kernels import make_gain_engine
 from repro.partition import BalanceConstraint, Partition, random_balanced_sides
 
 #: (size class, generator name) — node/net/pin counts track the paper's
@@ -451,10 +451,6 @@ def main(argv: List[str]) -> int:
             os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
             default,
         )
-
-    if not numpy_available():
-        print("numpy not importable; nothing to benchmark", file=sys.stderr)
-        return 0 if not args.check else 1
 
     if args.subround:
         return run_subround(args)

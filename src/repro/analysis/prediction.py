@@ -74,9 +74,8 @@ def collect_move_samples(
 ) -> List[MoveSample]:
     """Run PROP once, capturing every tentative move.
 
-    Uses the telemetry event stream (:class:`repro.telemetry.MemoryRecorder`)
-    rather than the legacy per-move observer; the returned samples are
-    identical — recording never changes moves or cuts.
+    Uses the telemetry event stream (:class:`repro.telemetry.MemoryRecorder`);
+    recording never changes moves or cuts.
     """
     if balance is None:
         balance = BalanceConstraint.fifty_fifty(graph)

@@ -227,39 +227,22 @@ def reference_la_run(
 # Incremental-engine trajectory capture
 # ---------------------------------------------------------------------------
 def _capture(run_fn, graph, initial_sides, balance, algorithm, **kwargs):
-    moves: List[TrajectoryMove] = []
+    from ..telemetry import MemoryRecorder
 
-    def observer(pass_index, node, selection_gain, immediate):
-        moves.append((pass_index, int(node), float(immediate)))
-
-    result = run_fn(
-        graph, initial_sides, balance, observer=observer, **kwargs
-    )
-    traj = Trajectory(algorithm=algorithm, moves=moves)
+    rec = MemoryRecorder()
+    result = run_fn(graph, initial_sides, balance, recorder=rec, **kwargs)
+    traj = Trajectory(algorithm=algorithm)
+    traj.moves = [
+        (m.pass_index, int(m.node), float(m.immediate_gain))
+        for m in rec.moves
+    ]
+    # One pass event per pass, including a terminal pass in which no
+    # move was balance-allowed (kept prefix 0).
+    traj.kept = [p.kept for p in rec.passes]
     traj.pass_cuts = list(result.pass_cuts)
     traj.final_sides = list(result.sides)
     traj.final_cut = result.cut
-    traj.kept = _kept_from_moves(graph, initial_sides, moves)
-    # A terminal pass in which no move was balance-allowed produces no
-    # observer calls but still counts as a pass (kept prefix 0).
-    while len(traj.kept) < len(traj.pass_cuts):
-        traj.kept.append(0)
     return traj
-
-
-def _kept_from_moves(
-    graph: Hypergraph,
-    initial_sides: Sequence[int],
-    moves: Sequence[TrajectoryMove],
-) -> List[int]:
-    """Per-pass kept-prefix lengths implied by the recorded gains."""
-    kept: List[int] = []
-    num_passes = (max(m[0] for m in moves) + 1) if moves else 0
-    for pi in range(num_passes):
-        gains = [m[2] for m in moves if m[0] == pi]
-        p, _ = reference.best_prefix(gains)
-        kept.append(p)
-    return kept
 
 
 def fm_trajectory(

@@ -17,30 +17,22 @@ FM delta rules touch only pins of *critical* nets, keeping updates O(pins).
 from __future__ import annotations
 
 import time
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
-from ..audit import AuditConfig, PassAuditor, resolve_audit
-from ..datastructures import (
-    BucketGainContainer,
-    PassJournal,
-    TreeGainContainer,
-)
+from ..audit import AuditConfig
+from ..datastructures import BucketGainContainer, TreeGainContainer
 from ..hypergraph import Hypergraph
-from ..kernels import resolve_kernel
+from ..kernels import CsrView, fm_initial_gains, resolve_kernel
 from ..partition import (
     BalanceConstraint,
     BipartitionResult,
     Partition,
     random_balanced_sides,
 )
-from ..telemetry import PassCounters, Recorder, resolve_recorder
+from ..passes import GainPolicy, run_passes
+from ..telemetry import PassCounters, Recorder
 
 Container = Union[BucketGainContainer, TreeGainContainer]
-
-#: Optional per-move observer mirroring :data:`repro.core.engine.MoveObserver`:
-#: (pass_index, node, selection_gain, immediate_gain).  Used by the
-#: differential harness in :mod:`repro.audit.differential`.
-MoveObserver = Callable[[int, int, float, float], None]
 
 #: Safety cap; FM empirically converges in 2–4 passes (paper Sec. 2).
 DEFAULT_MAX_PASSES = 100
@@ -50,10 +42,6 @@ def _make_containers(
     graph: Hypergraph, container: str
 ) -> Tuple[Container, Container]:
     if container == "bucket":
-        if not graph.has_unit_net_costs:
-            raise ValueError(
-                "FM-bucket requires unit net costs; use container='tree'"
-            )
         max_gain = max(
             (graph.node_degree(v) for v in range(graph.num_nodes)), default=1
         )
@@ -62,28 +50,7 @@ def _make_containers(
             BucketGainContainer(graph.num_nodes, max_gain),
             BucketGainContainer(graph.num_nodes, max_gain),
         )
-    if container == "tree":
-        return TreeGainContainer(), TreeGainContainer()
-    raise ValueError(f"unknown container {container!r} (want 'bucket' or 'tree')")
-
-
-def _pick_move(
-    containers: Tuple[Container, Container],
-    partition: Partition,
-    balance: BalanceConstraint,
-) -> Optional[int]:
-    """Best-gain node whose move keeps balance (FM tie rule)."""
-    candidates = []
-    for side in (0, 1):
-        if containers[side]:
-            node, gain = containers[side].peek_best()
-            candidates.append((gain, side, node))
-    candidates.sort(reverse=True)
-    weights = partition.side_weights
-    for _, side, node in candidates:
-        if balance.move_allowed(weights, side, partition.graph.node_weight(node)):
-            return node
-    return None
+    return TreeGainContainer(), TreeGainContainer()
 
 
 def _apply_delta(
@@ -169,79 +136,50 @@ def _move_with_gain_updates(
     return realized
 
 
-def _run_pass(
-    partition: Partition,
-    balance: BalanceConstraint,
-    containers: Tuple[Container, Container],
-    observer: Optional[MoveObserver] = None,
-    pass_index: int = 0,
-    auditor: Optional[PassAuditor] = None,
-    rec: Optional[Recorder] = None,
-    phase: Optional[dict] = None,
-    csr=None,
-) -> PassJournal:
-    """One tentative-move FM pass; locks are left set.
+class FMGains(GainPolicy):
+    """FM's gain rule for the sequential move loop: Eqn. (1) keys, kept
+    exact by the critical-net delta rules after every move.
 
-    ``rec`` must already be resolved (enabled or ``None``); ``phase`` is
-    the run-level phase-seconds accumulator, updated whether or not a
-    recorder is attached.  ``csr`` (a :class:`repro.kernels.CsrView`, or
-    ``None`` for the scalar path) switches the Eqn.-1 gain bootstrap to
-    the vectorized kernel — bit-identical values either way.
+    A ``csr`` view switches the pass-start gain sweep to the vectorized
+    kernel — bit-identical values either way.
     """
-    graph = partition.graph
-    if auditor is not None:
-        auditor.start_pass(partition)
-    counters = PassCounters() if rec is not None else None
 
-    t0 = time.perf_counter()
-    bucket = isinstance(containers[0], BucketGainContainer)
-    if csr is not None:
-        from ..kernels.numpy_backend import fm_initial_gains
-
-        for v, gain in enumerate(fm_initial_gains(csr, partition)):
-            containers[partition.side(v)].insert(
-                v, int(gain) if bucket else gain
+    def __init__(
+        self,
+        partition: Partition,
+        container: str = "bucket",
+        csr: Optional[CsrView] = None,
+    ) -> None:
+        if container == "bucket" and not partition.graph.has_unit_net_costs:
+            raise ValueError(
+                "FM-bucket requires unit net costs; use container='tree'"
             )
-    else:
-        for v in range(graph.num_nodes):
-            gain = partition.immediate_gain(v)
-            if bucket:
-                gain = int(gain)
-            containers[partition.side(v)].insert(v, gain)
-    t1 = time.perf_counter()
+        super().__init__(partition, csr)
+        self.container = container
 
-    journal = PassJournal()
-    while True:
-        node = _pick_move(containers, partition, balance)
-        if node is None:
-            break
-        from_side = partition.side(node)
-        selection_gain = containers[from_side].remove(node)
-        immediate = _move_with_gain_updates(
-            node, from_side, partition, containers, counters
+    def new_containers(self) -> Tuple[Container, Container]:
+        return _make_containers(self.partition.graph, self.container)
+
+    def initial_keys(self) -> List[float]:
+        partition = self.partition
+        if self.csr is not None:
+            gains = fm_initial_gains(self.csr, partition)
+        else:
+            gains = [
+                partition.immediate_gain(v)
+                for v in range(partition.graph.num_nodes)
+            ]
+        if self.container == "bucket":
+            return [int(g) for g in gains]
+        return gains
+
+    def apply_move(self, node, from_side, containers, counters) -> float:
+        return _move_with_gain_updates(
+            node, from_side, self.partition, containers, counters
         )
-        if rec is not None:
-            rec.move(
-                pass_index, len(journal), node, from_side,
-                selection_gain, immediate,
-            )
-            counters.moves += 1
-        journal.record(node, from_side, immediate)
-        if observer is not None:
-            observer(pass_index, node, selection_gain, immediate)
-        if auditor is not None and auditor.after_move(
-            partition, node, immediate
-        ):
-            auditor.check_fm_gains(partition, containers)
-    t2 = time.perf_counter()
-    if phase is not None:
-        phase["gain_init_seconds"] += t1 - t0
-        phase["move_loop_seconds"] += t2 - t1
-    if rec is not None:
-        rec.span(pass_index, "gain_init", t1 - t0)
-        rec.span(pass_index, "move_loop", t2 - t1)
-        rec.counters(pass_index, counters.as_dict())
-    return journal
+
+    def audit(self, auditor, containers) -> None:
+        auditor.check_fm_gains(self.partition, containers)
 
 
 def run_fm(
@@ -251,7 +189,6 @@ def run_fm(
     container: str = "bucket",
     max_passes: int = DEFAULT_MAX_PASSES,
     seed: Optional[int] = None,
-    observer: Optional[MoveObserver] = None,
     audit: Optional[AuditConfig] = None,
     recorder: Optional[Recorder] = None,
     kernel: Optional[str] = None,
@@ -275,196 +212,30 @@ def run_fm(
     them; ``"subround"`` switches the pass loop to deterministic batched
     sub-rounds (:mod:`repro.kernels.subround`) — worker-count-invariant,
     but a different move interleaving than the sequential loop.
+    Sub-rounds select moves by one vectorized sweep per round, not from
+    a gain container, so ``container`` only names the run there.
     ``subround_workers`` fans that kernel's sweeps over shared-memory
     workers (0/1 = inline); it never affects results.
-    """
-    algorithm = f"FM-{container}"
-    start = time.perf_counter()
-    partition = Partition(graph, initial_sides)
-    kernel_name = resolve_kernel(kernel, num_pins=graph.num_pins)
-    if kernel_name == "subround":
-        return _run_fm_subround(
-            graph, partition, balance, algorithm, container, max_passes,
-            seed, observer, audit, recorder, subround_workers, start,
-        )
-    csr = None
-    if kernel_name == "numpy":
-        from ..kernels.csr import CsrView
-
-        csr = CsrView(graph)
-    audit = resolve_audit(audit)
-    auditor = (
-        PassAuditor(graph, balance, audit, algorithm=algorithm, seed=seed)
-        if audit is not None
-        else None
-    )
-    rec = resolve_recorder(recorder)
-    phase = {
-        "gain_init_seconds": 0.0,
-        "move_loop_seconds": 0.0,
-        "rollback_seconds": 0.0,
-    }
-    if rec is not None:
-        rec.run_start(algorithm, seed, graph.num_nodes, graph.num_nets)
-    passes = 0
-    total_moves = 0
-    pass_cuts = []
-    while passes < max_passes:
-        pass_start = time.perf_counter()
-        if rec is not None:
-            rec.pass_start(passes)
-        containers = _make_containers(graph, container)
-        journal = _run_pass(
-            partition, balance, containers,
-            observer=observer, pass_index=passes, auditor=auditor,
-            rec=rec, phase=phase, csr=csr,
-        )
-        total_moves += len(journal)
-        p, gmax = journal.best_prefix()
-        rollback_start = time.perf_counter()
-        partition.unlock_all()
-        for record in reversed(journal.rolled_back_moves()):
-            partition.move(record.node)
-        rollback_seconds = time.perf_counter() - rollback_start
-        phase["rollback_seconds"] += rollback_seconds
-        pass_cuts.append(partition.cut_cost)
-        if auditor is not None:
-            auditor.after_rollback(partition, journal)
-        if rec is not None:
-            rec.span(passes, "rollback", rollback_seconds)
-            rec.pass_end(
-                passes, partition.cut_cost, len(journal), p, gmax,
-                time.perf_counter() - pass_start,
-            )
-        passes += 1
-        if gmax <= 1e-9 or p == 0:
-            break
-    elapsed = time.perf_counter() - start
-    stats = {"tentative_moves": float(total_moves)}
-    stats.update(phase)
-    stats["kernel_numpy"] = 1.0 if csr is not None else 0.0
-    if csr is not None:
-        stats["csr_build_seconds"] = csr.build_seconds
-    if auditor is not None:
-        stats.update(auditor.summary())
-        elapsed -= auditor.seconds
-    result = BipartitionResult(
-        sides=partition.sides,
-        cut=partition.cut_cost,
-        algorithm=algorithm,
-        seed=seed,
-        passes=passes,
-        runtime_seconds=elapsed,
-        stats=stats,
-        pass_cuts=pass_cuts,
-    )
-    if rec is not None:
-        rec.run_end(algorithm, result.cut, passes, elapsed, stats)
-    return result
-
-
-def _run_fm_subround(
-    graph: Hypergraph,
-    partition: Partition,
-    balance: BalanceConstraint,
-    algorithm: str,
-    container: str,
-    max_passes: int,
-    seed: Optional[int],
-    observer: Optional[MoveObserver],
-    audit: Optional[AuditConfig],
-    recorder: Optional[Recorder],
-    subround_workers: int,
-    start: float,
-) -> BipartitionResult:
-    """The ``kernel="subround"`` FM run loop.
-
-    ``container`` is validated for API parity but unused — sub-rounds
-    select moves by one vectorized sweep per round, not from a gain
-    container.  ``finally`` guarantees the worker pool's shared segments
-    are unlinked even when a pass raises.
     """
     if container not in ("bucket", "tree"):
         raise ValueError(
             f"unknown container {container!r} (want 'bucket' or 'tree')"
         )
-    from ..kernels.subround import SubroundFMEngine
+    start = time.perf_counter()
+    partition = Partition(graph, initial_sides)
+    kernel_name = resolve_kernel(kernel, num_pins=graph.num_pins)
+    if kernel_name == "subround":
+        from ..kernels.subround import SubroundFMEngine
 
-    engine = SubroundFMEngine(partition, seed, workers=subround_workers)
-    audit = resolve_audit(audit)
-    auditor = (
-        PassAuditor(graph, balance, audit, algorithm=algorithm, seed=seed)
-        if audit is not None
-        else None
+        engine = SubroundFMEngine(partition, seed, workers=subround_workers)
+    else:
+        csr = CsrView(graph) if kernel_name == "numpy" else None
+        engine = FMGains(partition, container, csr)
+    return run_passes(
+        engine, balance, algorithm=f"FM-{container}", seed=seed,
+        max_passes=max_passes, min_pass_gain=1e-9,
+        audit=audit, recorder=recorder, start=start,
     )
-    rec = resolve_recorder(recorder)
-    phase = {
-        "bootstrap_seconds": 0.0,
-        "refine_seconds": 0.0,
-        "gain_init_seconds": 0.0,
-        "move_loop_seconds": 0.0,
-        "rollback_seconds": 0.0,
-    }
-    if rec is not None:
-        rec.run_start(algorithm, seed, graph.num_nodes, graph.num_nets)
-    passes = 0
-    total_moves = 0
-    pass_cuts = []
-    try:
-        while passes < max_passes:
-            pass_start = time.perf_counter()
-            if rec is not None:
-                rec.pass_start(passes)
-            counters = PassCounters() if rec is not None else None
-            journal = engine.run_pass(
-                balance, passes, observer=observer, auditor=auditor,
-                rec=rec, phase=phase, counters=counters,
-            )
-            total_moves += len(journal)
-            p, gmax = journal.best_prefix()
-            rollback_start = time.perf_counter()
-            partition.unlock_all()
-            for record in reversed(journal.rolled_back_moves()):
-                partition.move(record.node)
-            rollback_seconds = time.perf_counter() - rollback_start
-            phase["rollback_seconds"] += rollback_seconds
-            pass_cuts.append(partition.cut_cost)
-            if auditor is not None:
-                auditor.after_rollback(partition, journal)
-            if rec is not None:
-                rec.span(passes, "rollback", rollback_seconds)
-                rec.pass_end(
-                    passes, partition.cut_cost, len(journal), p, gmax,
-                    time.perf_counter() - pass_start,
-                )
-            passes += 1
-            if gmax <= 1e-9 or p == 0:
-                break
-    finally:
-        engine.close()
-    elapsed = time.perf_counter() - start
-    stats = {"tentative_moves": float(total_moves)}
-    stats.update(phase)
-    stats["kernel_numpy"] = 0.0
-    stats["kernel_subround"] = 1.0
-    stats["csr_build_seconds"] = engine.csr.build_seconds
-    stats.update(engine.run_stats())
-    if auditor is not None:
-        stats.update(auditor.summary())
-        elapsed -= auditor.seconds
-    result = BipartitionResult(
-        sides=partition.sides,
-        cut=partition.cut_cost,
-        algorithm=algorithm,
-        seed=seed,
-        passes=passes,
-        runtime_seconds=elapsed,
-        stats=stats,
-        pass_cuts=pass_cuts,
-    )
-    if rec is not None:
-        rec.run_end(algorithm, result.cut, passes, elapsed, stats)
-    return result
 
 
 class FMPartitioner:

@@ -23,28 +23,24 @@ cutsets, are unchanged.
 from __future__ import annotations
 
 import time
-from typing import Callable, Optional, Sequence, Tuple
+import warnings
+from typing import List, Optional, Sequence, Tuple
 
-from ..audit import AuditConfig, PassAuditor, resolve_audit
-from ..datastructures import PassJournal, TreeGainContainer
+from ..audit import AuditConfig
 from ..hypergraph import Hypergraph
-from ..kernels import resolve_kernel
+from ..kernels import CsrView, la_initial_vectors, resolve_kernel
 from ..partition import (
     BalanceConstraint,
     BipartitionResult,
     Partition,
     random_balanced_sides,
 )
-from ..telemetry import PassCounters, Recorder, resolve_recorder
+from ..passes import GainPolicy, run_passes
+from ..telemetry import Recorder
 
 DEFAULT_MAX_PASSES = 100
 
 GainVector = Tuple[float, ...]
-
-#: Optional per-move observer (pass_index, node, selection_vector,
-#: immediate_gain) — the LA analogue of :data:`repro.core.engine.MoveObserver`
-#: (the selection key is the gain vector rather than a scalar).
-MoveObserver = Callable[[int, int, GainVector, float], None]
 
 
 def gain_vector(partition: Partition, node: int, k: int) -> GainVector:
@@ -76,81 +72,34 @@ def gain_vector(partition: Partition, node: int, k: int) -> GainVector:
     return tuple(vec)
 
 
-def _pick_move(
-    containers: Tuple[TreeGainContainer, TreeGainContainer],
-    partition: Partition,
-    balance: BalanceConstraint,
-) -> Optional[int]:
-    candidates = []
-    for side in (0, 1):
-        if containers[side]:
-            node, vec = containers[side].peek_best()
-            candidates.append((vec, side, node))
-    candidates.sort(reverse=True)
-    weights = partition.side_weights
-    for _, side, node in candidates:
-        if balance.move_allowed(weights, side, partition.graph.node_weight(node)):
-            return node
-    return None
+class LAGains(GainPolicy):
+    """LA-k's gain rule for the sequential move loop: lexicographic gain
+    vectors, recomputed for every free neighbor after each move.
 
-
-def _run_pass(
-    partition: Partition,
-    balance: BalanceConstraint,
-    k: int,
-    observer: Optional[MoveObserver] = None,
-    pass_index: int = 0,
-    auditor: Optional[PassAuditor] = None,
-    rec: Optional[Recorder] = None,
-    phase: Optional[dict] = None,
-    csr=None,
-) -> PassJournal:
-    """One tentative-move LA-k pass; locks are left set.
-
-    ``rec`` must already be resolved (enabled or ``None``); ``phase`` is
-    the run-level phase-seconds accumulator, updated whether or not a
-    recorder is attached.  ``csr`` (a :class:`repro.kernels.CsrView`, or
-    ``None`` for the scalar path) switches the vector bootstrap to the
+    A ``csr`` view switches the pass-start vector sweep to the
     vectorized kernel — bit-identical values either way (passes always
     start unlocked, the kernel's precondition).
     """
-    graph = partition.graph
-    if auditor is not None:
-        auditor.start_pass(partition)
-    counters = PassCounters() if rec is not None else None
 
-    t0 = time.perf_counter()
-    containers = (TreeGainContainer(), TreeGainContainer())
-    if csr is not None:
-        from ..kernels.numpy_backend import la_initial_vectors
+    def __init__(
+        self, partition: Partition, k: int, csr: Optional[CsrView] = None
+    ) -> None:
+        super().__init__(partition, csr)
+        self.k = k
 
-        for v, vec in enumerate(la_initial_vectors(csr, partition, k)):
-            containers[partition.side(v)].insert(v, vec)
-    else:
-        for v in range(graph.num_nodes):
-            containers[partition.side(v)].insert(
-                v, gain_vector(partition, v, k)
-            )
-    t1 = time.perf_counter()
+    def initial_keys(self) -> List[GainVector]:
+        partition = self.partition
+        if self.csr is not None:
+            return la_initial_vectors(self.csr, partition, self.k)
+        return [
+            gain_vector(partition, v, self.k)
+            for v in range(partition.graph.num_nodes)
+        ]
 
-    journal = PassJournal()
-    while True:
-        node = _pick_move(containers, partition, balance)
-        if node is None:
-            break
-        from_side = partition.side(node)
-        selection_vector = containers[from_side].remove(node)
+    def apply_move(self, node, from_side, containers, counters) -> float:
+        partition = self.partition
+        graph = partition.graph
         immediate = partition.move_and_lock(node)
-        if rec is not None:
-            rec.move(
-                pass_index, len(journal), node, from_side,
-                selection_vector, immediate,
-            )
-            counters.moves += 1
-        journal.record(node, from_side, immediate)
-        if observer is not None:
-            observer(pass_index, node, selection_vector, immediate)
-
         # Refresh the vectors of all free neighbors.
         seen = {node}
         for net_id in graph.node_nets(node):
@@ -160,24 +109,15 @@ def _run_pass(
                     continue
                 seen.add(nbr)
                 containers[partition.side(nbr)].update(
-                    nbr, gain_vector(partition, nbr, k)
+                    nbr, gain_vector(partition, nbr, self.k)
                 )
                 if counters is not None:
                     counters.neighbor_updates += 1
                     counters.container_updates += 1
-        if auditor is not None and auditor.after_move(
-            partition, node, immediate
-        ):
-            auditor.check_la_vectors(partition, containers, k)
-    t2 = time.perf_counter()
-    if phase is not None:
-        phase["gain_init_seconds"] += t1 - t0
-        phase["move_loop_seconds"] += t2 - t1
-    if rec is not None:
-        rec.span(pass_index, "gain_init", t1 - t0)
-        rec.span(pass_index, "move_loop", t2 - t1)
-        rec.counters(pass_index, counters.as_dict())
-    return journal
+        return immediate
+
+    def audit(self, auditor, containers) -> None:
+        auditor.check_la_vectors(self.partition, containers, self.k)
 
 
 def run_la(
@@ -187,7 +127,6 @@ def run_la(
     k: int = 2,
     max_passes: int = DEFAULT_MAX_PASSES,
     seed: Optional[int] = None,
-    observer: Optional[MoveObserver] = None,
     audit: Optional[AuditConfig] = None,
     recorder: Optional[Recorder] = None,
     kernel: Optional[str] = None,
@@ -215,93 +154,23 @@ def run_la(
     """
     if k < 1:
         raise ValueError(f"lookahead k must be >= 1, got {k}")
-    algorithm = f"LA-{k}"
     start = time.perf_counter()
     partition = Partition(graph, initial_sides)
     kernel_name = resolve_kernel(kernel, num_pins=graph.num_pins)
     if kernel_name == "subround":
-        import warnings
-
         warnings.warn(
             "LA has no subround pass engine; using the sequential "
             "numpy backend",
             RuntimeWarning,
             stacklevel=2,
         )
-        kernel_name = resolve_kernel("numpy")
-    csr = None
-    if kernel_name == "numpy":
-        from ..kernels.csr import CsrView
-
-        csr = CsrView(graph)
-    audit = resolve_audit(audit)
-    auditor = (
-        PassAuditor(graph, balance, audit, algorithm=algorithm, seed=seed)
-        if audit is not None
-        else None
+        kernel_name = "numpy"
+    csr = CsrView(graph) if kernel_name == "numpy" else None
+    return run_passes(
+        LAGains(partition, k, csr), balance, algorithm=f"LA-{k}", seed=seed,
+        max_passes=max_passes, min_pass_gain=1e-9,
+        audit=audit, recorder=recorder, start=start,
     )
-    rec = resolve_recorder(recorder)
-    phase = {
-        "gain_init_seconds": 0.0,
-        "move_loop_seconds": 0.0,
-        "rollback_seconds": 0.0,
-    }
-    if rec is not None:
-        rec.run_start(algorithm, seed, graph.num_nodes, graph.num_nets)
-    passes = 0
-    total_moves = 0
-    pass_cuts = []
-    while passes < max_passes:
-        pass_start = time.perf_counter()
-        if rec is not None:
-            rec.pass_start(passes)
-        journal = _run_pass(
-            partition, balance, k,
-            observer=observer, pass_index=passes, auditor=auditor,
-            rec=rec, phase=phase, csr=csr,
-        )
-        total_moves += len(journal)
-        p, gmax = journal.best_prefix()
-        rollback_start = time.perf_counter()
-        partition.unlock_all()
-        for record in reversed(journal.rolled_back_moves()):
-            partition.move(record.node)
-        rollback_seconds = time.perf_counter() - rollback_start
-        phase["rollback_seconds"] += rollback_seconds
-        pass_cuts.append(partition.cut_cost)
-        if auditor is not None:
-            auditor.after_rollback(partition, journal)
-        if rec is not None:
-            rec.span(passes, "rollback", rollback_seconds)
-            rec.pass_end(
-                passes, partition.cut_cost, len(journal), p, gmax,
-                time.perf_counter() - pass_start,
-            )
-        passes += 1
-        if gmax <= 1e-9 or p == 0:
-            break
-    elapsed = time.perf_counter() - start
-    stats = {"tentative_moves": float(total_moves)}
-    stats.update(phase)
-    stats["kernel_numpy"] = 1.0 if csr is not None else 0.0
-    if csr is not None:
-        stats["csr_build_seconds"] = csr.build_seconds
-    if auditor is not None:
-        stats.update(auditor.summary())
-        elapsed -= auditor.seconds
-    result = BipartitionResult(
-        sides=partition.sides,
-        cut=partition.cut_cost,
-        algorithm=algorithm,
-        seed=seed,
-        passes=passes,
-        runtime_seconds=elapsed,
-        stats=stats,
-        pass_cuts=pass_cuts,
-    )
-    if rec is not None:
-        rec.run_end(algorithm, result.cut, passes, elapsed, stats)
-    return result
 
 
 class LAPartitioner:

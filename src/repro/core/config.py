@@ -21,7 +21,7 @@ INIT_METHODS = ("pinit", "deterministic")
 PROBABILITY_FUNCTIONS = ("linear", "sigmoid")
 
 #: Gain-kernel backends (see :mod:`repro.kernels`): "auto" picks numpy
-#: when importable and the instance is large enough (deferring to the
+#: when the instance is large enough (deferring to the
 #: ``REPRO_KERNEL`` environment variable first), "python"/"numpy" force
 #: a backend.  Those two are bit-identical — same moves, same cuts — so
 #: the switch is runtime-only and excluded from experiment-cache

@@ -15,25 +15,16 @@ One :func:`run_prop` call executes the full algorithm:
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from ..audit import AuditConfig, PassAuditor, resolve_audit
-from ..datastructures import PassJournal, TreeGainContainer
+from ..audit import AuditConfig
 from ..hypergraph import Hypergraph
 from ..kernels import make_gain_engine, resolve_kernel
 from ..partition import BalanceConstraint, BipartitionResult, Partition
-from ..telemetry import PassCounters, Recorder, resolve_recorder
+from ..passes import GainPolicy, run_passes
+from ..telemetry import Recorder
 from .config import PropConfig
-from .gains import ProbabilisticGainEngine
 from .probability import make_probability_fn
-
-#: Optional per-move observer: (pass_index, node, selection_gain,
-#: immediate_gain).  ``selection_gain`` is the probabilistic gain the node
-#: was chosen by; ``immediate_gain`` is the realized cut delta.  Kept for
-#: compatibility (the differential harness uses it); new code should pass
-#: a :class:`repro.telemetry.Recorder`, which sees the same per-move
-#: stream plus spans and counters.
-MoveObserver = Callable[[int, int, float, float], None]
 
 
 def run_prop(
@@ -42,7 +33,6 @@ def run_prop(
     balance: BalanceConstraint,
     config: Optional[PropConfig] = None,
     seed: Optional[int] = None,
-    observer: Optional[MoveObserver] = None,
     audit: Optional[AuditConfig] = None,
     recorder: Optional[Recorder] = None,
 ) -> BipartitionResult:
@@ -70,476 +60,225 @@ def run_prop(
     partition = Partition(graph, initial_sides)
     # Backend selection (repro.kernels): the sequential backends are
     # bit-identical, so that choice affects runtime only — never moves
-    # or cuts.  The subround kernel replaces the whole pass loop and is
-    # only ever selected explicitly.
+    # or cuts.  The subround kernel replaces the whole pass and is only
+    # ever selected explicitly.
     kernel = resolve_kernel(config.kernel, num_pins=graph.num_pins)
     if kernel == "subround":
-        return _run_prop_subround(
-            graph, partition, balance, config, seed, observer, audit,
-            recorder, start,
+        from ..kernels.subround import SubroundPropEngine
+
+        engine = SubroundPropEngine(partition, config, seed)
+    else:
+        engine = PropGains(partition, config, kernel)
+    return run_passes(
+        engine, balance, algorithm="PROP", seed=seed,
+        max_passes=config.max_passes, min_pass_gain=config.min_pass_gain,
+        audit=audit, recorder=recorder, start=start,
+    )
+
+
+class PropGains(GainPolicy):
+    """PROP's gain rule for the sequential move loop (Fig. 2 steps 3–8).
+
+    Per pass: bootstrap the probabilities, refine gains ↔ probabilities,
+    key the containers by the refined gains; after every move, refresh
+    the gain (and probability) of each free neighbor and of the
+    top-ranked nodes of each side (Sec. 3.4).  ``kernel`` names a
+    resolved sequential backend (``"python"`` or ``"numpy"``).
+    """
+
+    phases = ("bootstrap", "refine", "gain_init", "move_loop")
+
+    def __init__(
+        self, partition: Partition, config: PropConfig, kernel: str
+    ) -> None:
+        engine = make_gain_engine(partition, kernel)
+        super().__init__(partition, getattr(engine, "csr", None))
+        self.engine = engine
+        self.config = config
+        self.prob_fn = make_probability_fn(config)
+        self.gains: List[float] = []
+        self.contribs = None
+
+    def run_pass(self, balance, pass_index, auditor, rec, phase, counters):
+        engine = self.engine
+        writes_before = engine.probability_writes
+        t0 = time.perf_counter()
+        self._bootstrap_probabilities()
+        t1 = time.perf_counter()
+        self.gains = self._refine()
+        phase["bootstrap"] = t1 - t0
+        phase["refine"] = time.perf_counter() - t1
+        journal = super().run_pass(
+            balance, pass_index, auditor, rec, phase, counters
         )
-    engine = make_gain_engine(partition, kernel)
-    prob_fn = make_probability_fn(config)
-    audit = resolve_audit(audit)
-    auditor = (
-        PassAuditor(graph, balance, audit, algorithm="PROP", seed=seed)
-        if audit is not None
-        else None
-    )
-    rec = resolve_recorder(recorder)
-    phase = {
-        "bootstrap_seconds": 0.0,
-        "refine_seconds": 0.0,
-        "gain_init_seconds": 0.0,
-        "move_loop_seconds": 0.0,
-        "rollback_seconds": 0.0,
-    }
-    if rec is not None:
-        rec.run_start("PROP", seed, graph.num_nodes, graph.num_nets)
-
-    passes = 0
-    total_moves = 0
-    pass_cuts = []
-    while passes < config.max_passes:
-        pass_start = time.perf_counter()
-        if rec is not None:
-            rec.pass_start(passes)
-        journal = _run_pass(
-            partition, engine, balance, config, prob_fn,
-            observer=observer, pass_index=passes, auditor=auditor,
-            rec=rec, phase=phase,
-        )
-        total_moves += len(journal)
-        p, gmax = journal.best_prefix()
-        # Undo the tentative moves beyond the best prefix (last first).
-        rollback_start = time.perf_counter()
-        partition.unlock_all()
-        for record in reversed(journal.rolled_back_moves()):
-            partition.move(record.node)
-        rollback_seconds = time.perf_counter() - rollback_start
-        phase["rollback_seconds"] += rollback_seconds
-        pass_cuts.append(partition.cut_cost)
-        if auditor is not None:
-            auditor.after_rollback(partition, journal)
-        if rec is not None:
-            rec.span(passes, "rollback", rollback_seconds)
-            rec.pass_end(
-                passes, partition.cut_cost, len(journal), p, gmax,
-                time.perf_counter() - pass_start,
+        if counters is not None:
+            counters.probability_refreshes = (
+                engine.probability_writes - writes_before
             )
-        passes += 1
-        if gmax <= config.min_pass_gain or p == 0:
-            break
+        return journal
 
-    elapsed = time.perf_counter() - start
-    stats = {"tentative_moves": float(total_moves)}
-    stats.update(phase)
-    stats["kernel_numpy"] = 1.0 if engine.kernel_name == "numpy" else 0.0
-    stats["underflow_recomputes"] = float(engine.underflow_recomputes)
-    csr = getattr(engine, "csr", None)
-    if csr is not None:
-        stats["csr_build_seconds"] = csr.build_seconds
-        stats["product_cache_hits"] = float(engine.product_cache_hits)
-        stats["product_cache_misses"] = float(engine.product_cache_misses)
-    if auditor is not None:
-        stats.update(auditor.summary())
-        elapsed -= auditor.seconds
-    result = BipartitionResult(
-        sides=partition.sides,
-        cut=partition.cut_cost,
-        algorithm="PROP",
-        seed=seed,
-        passes=passes,
-        runtime_seconds=elapsed,
-        stats=stats,
-        pass_cuts=pass_cuts,
-    )
-    if rec is not None:
-        rec.run_end("PROP", result.cut, passes, elapsed, stats)
-    return result
+    def _bootstrap_probabilities(self) -> None:
+        """Fig. 2 step 3: the initial probability estimate.
 
-
-def _run_prop_subround(
-    graph: Hypergraph,
-    partition: Partition,
-    balance: BalanceConstraint,
-    config: PropConfig,
-    seed: Optional[int],
-    observer: Optional[MoveObserver],
-    audit: Optional[AuditConfig],
-    recorder,
-    start: float,
-) -> BipartitionResult:
-    """The ``kernel="subround"`` run loop (see :mod:`repro.kernels.subround`).
-
-    Same pass/rollback/stop protocol as the sequential loop; only the
-    inside of a pass differs (batched sub-rounds instead of one move at
-    a time).  The engine owns a shared-memory worker pool when
-    ``config.subround_workers >= 2``; ``finally`` guarantees its
-    segments are unlinked even when a pass raises.
-    """
-    from ..kernels.subround import SubroundPropEngine
-
-    engine = SubroundPropEngine(partition, config, seed)
-    audit = resolve_audit(audit)
-    auditor = (
-        PassAuditor(graph, balance, audit, algorithm="PROP", seed=seed)
-        if audit is not None
-        else None
-    )
-    rec = resolve_recorder(recorder)
-    phase = {
-        "bootstrap_seconds": 0.0,
-        "refine_seconds": 0.0,
-        "gain_init_seconds": 0.0,
-        "move_loop_seconds": 0.0,
-        "rollback_seconds": 0.0,
-    }
-    if rec is not None:
-        rec.run_start("PROP", seed, graph.num_nodes, graph.num_nets)
-
-    passes = 0
-    total_moves = 0
-    pass_cuts = []
-    try:
-        while passes < config.max_passes:
-            pass_start = time.perf_counter()
-            if rec is not None:
-                rec.pass_start(passes)
-            counters = PassCounters() if rec is not None else None
-            journal = engine.run_pass(
-                balance, passes, observer=observer, auditor=auditor,
-                rec=rec, phase=phase, counters=counters,
-            )
-            total_moves += len(journal)
-            p, gmax = journal.best_prefix()
-            rollback_start = time.perf_counter()
-            partition.unlock_all()
-            for record in reversed(journal.rolled_back_moves()):
-                partition.move(record.node)
-            rollback_seconds = time.perf_counter() - rollback_start
-            phase["rollback_seconds"] += rollback_seconds
-            pass_cuts.append(partition.cut_cost)
-            if auditor is not None:
-                auditor.after_rollback(partition, journal)
-            if rec is not None:
-                rec.span(passes, "rollback", rollback_seconds)
-                rec.pass_end(
-                    passes, partition.cut_cost, len(journal), p, gmax,
-                    time.perf_counter() - pass_start,
-                )
-            passes += 1
-            if gmax <= config.min_pass_gain or p == 0:
-                break
-    finally:
-        engine.close()
-
-    elapsed = time.perf_counter() - start
-    stats = {"tentative_moves": float(total_moves)}
-    stats.update(phase)
-    stats["kernel_numpy"] = 0.0
-    stats["kernel_subround"] = 1.0
-    stats["underflow_recomputes"] = float(engine.underflow_recomputes)
-    stats["csr_build_seconds"] = engine.csr.build_seconds
-    stats.update(engine.run_stats())
-    if auditor is not None:
-        stats.update(auditor.summary())
-        elapsed -= auditor.seconds
-    result = BipartitionResult(
-        sides=partition.sides,
-        cut=partition.cut_cost,
-        algorithm="PROP",
-        seed=seed,
-        passes=passes,
-        runtime_seconds=elapsed,
-        stats=stats,
-        pass_cuts=pass_cuts,
-    )
-    if rec is not None:
-        rec.run_end("PROP", result.cut, passes, elapsed, stats)
-    return result
-
-
-def _bootstrap_probabilities(
-    engine: ProbabilisticGainEngine,
-    config: PropConfig,
-    prob_fn,
-) -> None:
-    """Fig. 2 step 3: the initial probability estimate.
-
-    Either every node starts at ``pinit`` ("blind" method), or
-    probabilities are derived from the deterministic FM gains (Eqn. 1).
-    """
-    if config.init_method == "pinit":
-        engine.fill(config.pinit)
-        return
-    partition = engine.partition
-    for v in range(partition.graph.num_nodes):
-        if not partition.is_locked(v):
-            engine.set_probability(v, prob_fn(partition.immediate_gain(v)))
-
-
-def _refine(
-    engine: ProbabilisticGainEngine,
-    config: PropConfig,
-    prob_fn,
-) -> List[float]:
-    """Fig. 2 step 4: iterate gain ↔ probability refinement.
-
-    Returns the final gains (after the last refinement cycle, gains are
-    recomputed once more so they reflect the final probabilities).
-    """
-    partition = engine.partition
-    gains = engine.all_gains()
-    for _ in range(config.refinement_iterations):
-        for v, g in enumerate(gains):
+        Either every node starts at ``pinit`` ("blind" method), or
+        probabilities are derived from the deterministic FM gains
+        (Eqn. 1).
+        """
+        if self.config.init_method == "pinit":
+            self.engine.fill(self.config.pinit)
+            return
+        partition = self.partition
+        for v in range(partition.graph.num_nodes):
             if not partition.is_locked(v):
-                engine.set_probability(v, prob_fn(g))
+                self.engine.set_probability(
+                    v, self.prob_fn(partition.immediate_gain(v))
+                )
+
+    def _refine(self) -> List[float]:
+        """Fig. 2 step 4: iterate gain ↔ probability refinement.
+
+        Returns the final gains (after the last refinement cycle, gains
+        are recomputed once more so they reflect the final
+        probabilities).
+        """
+        partition = self.partition
+        engine = self.engine
         gains = engine.all_gains()
-    return gains
+        for _ in range(self.config.refinement_iterations):
+            for v, g in enumerate(gains):
+                if not partition.is_locked(v):
+                    engine.set_probability(v, self.prob_fn(g))
+            gains = engine.all_gains()
+        return gains
 
+    def initial_keys(self) -> List[float]:
+        if self.config.update_strategy == "cached":
+            self.contribs = self.engine.new_contribution_state()
+        return self.gains
 
-def _pick_move(
-    containers: Tuple[TreeGainContainer, TreeGainContainer],
-    partition: Partition,
-    balance: BalanceConstraint,
-) -> Optional[int]:
-    """Fig. 2 step 6: best-gain node whose move keeps balance.
-
-    The overall best-gain node is preferred; if moving it would violate
-    balance, the best node of the *other* side is chosen instead (the FM
-    rule the paper inherits).  Returns None when no move is possible.
-    """
-    candidates = []
-    for side in (0, 1):
-        if containers[side]:
-            node, gain = containers[side].peek_best()
-            candidates.append((gain, side, node))
-    candidates.sort(reverse=True)
-    weights = partition.side_weights
-    for _, side, node in candidates:
-        if balance.move_allowed(weights, side, partition.graph.node_weight(node)):
-            return node
-    return None
-
-
-def _run_pass(
-    partition: Partition,
-    engine: ProbabilisticGainEngine,
-    balance: BalanceConstraint,
-    config: PropConfig,
-    prob_fn,
-    observer: Optional[MoveObserver] = None,
-    pass_index: int = 0,
-    auditor: Optional[PassAuditor] = None,
-    rec: Optional[Recorder] = None,
-    phase: Optional[dict] = None,
-) -> PassJournal:
-    """One tentative-move pass (Fig. 2 steps 3–8); locks are left set.
-
-    ``rec`` must already be resolved (enabled or ``None``); ``phase`` is
-    the run-level phase-seconds accumulator, updated whether or not a
-    recorder is attached.
-    """
-    graph = partition.graph
-    if auditor is not None:
-        auditor.start_pass(partition)
-    counters = PassCounters() if rec is not None else None
-    writes_before = engine.probability_writes
-
-    t0 = time.perf_counter()
-    _bootstrap_probabilities(engine, config, prob_fn)
-    t1 = time.perf_counter()
-    gains = _refine(engine, config, prob_fn)
-    t2 = time.perf_counter()
-
-    cached = config.update_strategy == "cached"
-    contribs = engine.new_contribution_state() if cached else None
-
-    containers = (TreeGainContainer(), TreeGainContainer())
-    for v in range(graph.num_nodes):
-        if not partition.is_locked(v):
-            containers[partition.side(v)].insert(v, gains[v])
-    t3 = time.perf_counter()
-
-    journal = PassJournal()
-    while True:
-        node = _pick_move(containers, partition, balance)
-        if node is None:
-            break
-        from_side = partition.side(node)
-        selection_gain = containers[from_side].remove(node)
-        immediate = partition.move_and_lock(node)
-        engine.on_lock(node)
-        if rec is not None:
-            rec.move(
-                pass_index, len(journal), node, from_side,
-                selection_gain, immediate,
-            )
-            counters.moves += 1
-        journal.record(node, from_side, immediate)
-        if observer is not None:
-            observer(pass_index, node, selection_gain, immediate)
-        if auditor is not None and auditor.after_move(
-            partition, node, immediate
-        ):
-            auditor.check_containers(partition, containers)
-            auditor.check_prop_gains(partition, engine)
-            auditor.check_prop_kernel(partition, engine)
-
-        if cached:
-            _update_neighbors_cached(
-                node, partition, engine, containers, config, prob_fn,
-                contribs, counters,
-            )
-            _update_top_ranked_cached(
-                partition, engine, containers, config, prob_fn,
-                contribs, counters,
-            )
+    def apply_move(self, node, from_side, containers, counters) -> float:
+        immediate = self.partition.move_and_lock(node)
+        self.engine.on_lock(node)
+        if self.contribs is not None:
+            self._update_neighbors_cached(node, containers, counters)
+            self._update_top_ranked_cached(containers, counters)
         else:
-            _update_neighbors(
-                node, partition, engine, containers, config, prob_fn,
-                counters,
-            )
-            _update_top_ranked(
-                partition, engine, containers, config, prob_fn, counters
-            )
-    t4 = time.perf_counter()
-    if phase is not None:
-        phase["bootstrap_seconds"] += t1 - t0
-        phase["refine_seconds"] += t2 - t1
-        phase["gain_init_seconds"] += t3 - t2
-        phase["move_loop_seconds"] += t4 - t3
-    if rec is not None:
-        rec.span(pass_index, "bootstrap", t1 - t0)
-        rec.span(pass_index, "refine", t2 - t1)
-        rec.span(pass_index, "gain_init", t3 - t2)
-        rec.span(pass_index, "move_loop", t4 - t3)
-        counters.probability_refreshes = (
-            engine.probability_writes - writes_before
-        )
-        rec.counters(pass_index, counters.as_dict())
-    return journal
+            self._update_neighbors(node, containers, counters)
+            self._update_top_ranked(containers, counters)
+        return immediate
 
+    def audit(self, auditor, containers) -> None:
+        auditor.check_containers(self.partition, containers)
+        auditor.check_prop_gains(self.partition, self.engine)
+        auditor.check_prop_kernel(self.partition, self.engine)
 
-def _update_neighbors(
-    moved: int,
-    partition: Partition,
-    engine: ProbabilisticGainEngine,
-    containers: Tuple[TreeGainContainer, TreeGainContainer],
-    config: PropConfig,
-    prob_fn,
-    counters: Optional[PassCounters] = None,
-) -> None:
-    """Sec. 3.4: refresh gain (and probability) of each free neighbor."""
-    graph = partition.graph
-    seen = {moved}
-    for net_id in graph.node_nets(moved):
-        for nbr in graph.net(net_id):
-            if nbr in seen or partition.is_locked(nbr):
+    def run_stats(self) -> dict:
+        engine = self.engine
+        stats = super().run_stats()
+        stats["underflow_recomputes"] = float(engine.underflow_recomputes)
+        if self.csr is not None:
+            stats["product_cache_hits"] = float(engine.product_cache_hits)
+            stats["product_cache_misses"] = float(engine.product_cache_misses)
+        return stats
+
+    def _update_neighbors(self, moved, containers, counters) -> None:
+        """Sec. 3.4: refresh gain (and probability) of each free neighbor."""
+        partition = self.partition
+        engine = self.engine
+        graph = partition.graph
+        update_p = self.config.update_neighbor_probabilities
+        seen = {moved}
+        for net_id in graph.node_nets(moved):
+            for nbr in graph.net(net_id):
+                if nbr in seen or partition.is_locked(nbr):
+                    seen.add(nbr)
+                    continue
                 seen.add(nbr)
-                continue
-            seen.add(nbr)
-            gain = engine.node_gain(nbr)
-            if config.update_neighbor_probabilities:
-                engine.set_probability(nbr, prob_fn(gain))
+                gain = engine.node_gain(nbr)
+                if update_p:
+                    engine.set_probability(nbr, self.prob_fn(gain))
+                if counters is not None:
+                    counters.neighbor_updates += 1
+                container = containers[partition.side(nbr)]
+                if container.gain_of(nbr) != gain:
+                    container.update(nbr, gain)
+                    if counters is not None:
+                        counters.container_updates += 1
+
+    def _update_neighbors_cached(self, moved, containers, counters) -> None:
+        """Sec. 3.4, Eqn. 5/6 flavour: only the contributions of the moved
+        node's nets are recomputed; each neighbor's total gain is adjusted
+        by the contribution delta.  Staleness from second-order
+        probability changes is repaired by the top-k step, exactly as in
+        the recompute strategy.
+
+        The contribution cache ``self.contribs`` is opaque here: the
+        engine created it (:meth:`~repro.core.gains.ProbabilisticGainEngine.new_contribution_state`)
+        and is the only code that reads or writes it — the numpy backend
+        uses a flat array plus incremental per-net products where the
+        python backend keeps per-node dicts.
+        """
+        partition = self.partition
+        engine = self.engine
+        update_p = self.config.update_neighbor_probabilities
+        for nbr, delta in engine.contribution_move_deltas(
+            moved, self.contribs, counters
+        ):
             if counters is not None:
                 counters.neighbor_updates += 1
             container = containers[partition.side(nbr)]
-            if container.gain_of(nbr) != gain:
+            gain = container.gain_of(nbr) + delta
+            if update_p:
+                engine.set_probability(nbr, self.prob_fn(gain))
+            if delta:
                 container.update(nbr, gain)
                 if counters is not None:
                     counters.container_updates += 1
 
+    def _update_top_ranked_cached(self, containers, counters) -> None:
+        """Top-k refresh for the cached strategy: full recompute of the
+        node's contributions (keeping its cache coherent) plus
+        probability update."""
+        k = self.config.top_update_count
+        if k <= 0:
+            return
+        engine = self.engine
+        update_p = self.config.update_neighbor_probabilities
+        for side in (0, 1):
+            for node, stale in containers[side].top(k):
+                gain = engine.refresh_contributions(
+                    node, self.contribs, counters
+                )
+                if counters is not None:
+                    counters.topk_updates += 1
+                if update_p:
+                    engine.set_probability(node, self.prob_fn(gain))
+                if gain != stale:
+                    containers[side].update(node, gain)
+                    if counters is not None:
+                        counters.container_updates += 1
 
-def _update_neighbors_cached(
-    moved: int,
-    partition: Partition,
-    engine: ProbabilisticGainEngine,
-    containers: Tuple[TreeGainContainer, TreeGainContainer],
-    config: PropConfig,
-    prob_fn,
-    contribs,
-    counters: Optional[PassCounters] = None,
-) -> None:
-    """Sec. 3.4, Eqn. 5/6 flavour: only the contributions of the moved
-    node's nets are recomputed; each neighbor's total gain is adjusted by
-    the contribution delta.  Staleness from second-order probability
-    changes is repaired by the top-k step, exactly as in the recompute
-    strategy.
+    def _update_top_ranked(self, containers, counters) -> None:
+        """Sec. 3.4: re-evaluate the top-ranked nodes of each side.
 
-    The contribution cache ``contribs`` is opaque to this function: the
-    engine created it (:meth:`~ProbabilisticGainEngine.new_contribution_state`)
-    and is the only code that reads or writes it — the numpy backend uses
-    a flat array plus incremental per-net products where the python
-    backend keeps per-node dicts.
-    """
-    for nbr, delta in engine.contribution_move_deltas(moved, contribs, counters):
-        if counters is not None:
-            counters.neighbor_updates += 1
-        container = containers[partition.side(nbr)]
-        gain = container.gain_of(nbr) + delta
-        if config.update_neighbor_probabilities:
-            engine.set_probability(nbr, prob_fn(gain))
-        if delta:
-            container.update(nbr, gain)
-            if counters is not None:
-                counters.container_updates += 1
-
-
-def _update_top_ranked_cached(
-    partition: Partition,
-    engine: ProbabilisticGainEngine,
-    containers: Tuple[TreeGainContainer, TreeGainContainer],
-    config: PropConfig,
-    prob_fn,
-    contribs,
-    counters: Optional[PassCounters] = None,
-) -> None:
-    """Top-k refresh for the cached strategy: full recompute of the node's
-    contributions (keeping its cache coherent) plus probability update."""
-    k = config.top_update_count
-    if k <= 0:
-        return
-    for side in (0, 1):
-        for node, stale in containers[side].top(k):
-            gain = engine.refresh_contributions(node, contribs, counters)
-            if counters is not None:
-                counters.topk_updates += 1
-            if config.update_neighbor_probabilities:
-                engine.set_probability(node, prob_fn(gain))
-            if gain != stale:
+        Needed because a top node may be a neighbor-of-a-neighbor of the
+        moved node, whose probability just changed; the paper argues
+        refreshing the top few contenders is all that is necessary.
+        """
+        k = self.config.top_update_count
+        if k <= 0:
+            return
+        engine = self.engine
+        update_p = self.config.update_neighbor_probabilities
+        for side in (0, 1):
+            for node, stale in containers[side].top(k):
+                if counters is not None:
+                    counters.topk_updates += 1
+                gain = engine.node_gain(node)
+                if gain == stale:
+                    continue  # unchanged: skip the O(log n) reinsertion
+                if update_p:
+                    engine.set_probability(node, self.prob_fn(gain))
                 containers[side].update(node, gain)
                 if counters is not None:
                     counters.container_updates += 1
-
-
-def _update_top_ranked(
-    partition: Partition,
-    engine: ProbabilisticGainEngine,
-    containers: Tuple[TreeGainContainer, TreeGainContainer],
-    config: PropConfig,
-    prob_fn,
-    counters: Optional[PassCounters] = None,
-) -> None:
-    """Sec. 3.4: re-evaluate the top-ranked nodes of each side.
-
-    Needed because a top node may be a neighbor-of-a-neighbor of the moved
-    node, whose probability just changed; the paper argues refreshing the
-    top few contenders is all that is necessary.
-    """
-    k = config.top_update_count
-    if k <= 0:
-        return
-    for side in (0, 1):
-        for node, stale in containers[side].top(k):
-            if counters is not None:
-                counters.topk_updates += 1
-            gain = engine.node_gain(node)
-            if gain == stale:
-                continue  # unchanged: skip the O(log n) reinsertion
-            if config.update_neighbor_probabilities:
-                engine.set_probability(node, prob_fn(gain))
-            containers[side].update(node, gain)
-            if counters is not None:
-                counters.container_updates += 1

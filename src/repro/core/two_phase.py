@@ -21,7 +21,6 @@ from __future__ import annotations
 import time
 from typing import Optional, Sequence
 
-from ..baselines.window import attraction_ordering
 from ..hypergraph import Hypergraph, contract
 from ..partition import (
     BalanceConstraint,
@@ -86,6 +85,10 @@ class TwoPhasePropPartitioner:
         balance: BalanceConstraint,
         seed: int,
     ) -> Sequence[int]:
+        # Imported here: repro.baselines imports repro.kernels, which
+        # imports this package.
+        from ..baselines.window import attraction_ordering
+
         order = attraction_ordering(graph)
         cluster_of = [0] * graph.num_nodes
         for position, v in enumerate(order):

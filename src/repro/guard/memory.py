@@ -158,7 +158,7 @@ class RssWatchdog:
         if self._on_change is not None:
             try:
                 self._on_change(self.shedding, self.last_rss)
-            except Exception:  # noqa: BLE001 - observer must not kill us
+            except Exception:  # noqa: BLE001 - a failing callback must not kill us
                 pass
 
     def start(self) -> None:

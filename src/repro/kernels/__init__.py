@@ -18,11 +18,9 @@ dominate PROP/FM/LA runtime:
 Selection precedence: an explicit backend name (``PropConfig.kernel``,
 ``run_fm(kernel=...)``, CLI ``--kernel``) wins; ``"auto"`` defers to the
 ``REPRO_KERNEL`` environment variable; failing that, numpy is used when
-importable and the instance is large enough
-(:data:`AUTO_SCALAR_CUTOFF_PINS` — ``BENCH_kernels.json`` shows the
-scalar path wins end-to-end below ~4k pins, e.g. balu full_pass 0.92x),
-the scalar path otherwise.  Requesting numpy/subround when numpy is not
-importable warns and falls back cleanly.
+the instance is large enough (:data:`AUTO_SCALAR_CUTOFF_PINS` —
+``BENCH_kernels.json`` shows the scalar path wins end-to-end below ~4k
+pins, e.g. balu full_pass 0.92x), the scalar path otherwise.
 
 ``"auto"`` and ``REPRO_KERNEL`` never select ``"subround"``: the
 sequential backends are result-identical (so the choice is excluded from
@@ -38,6 +36,8 @@ import os
 import warnings
 from typing import Optional, Tuple
 
+from .csr import CsrView
+
 #: Accepted values for ``PropConfig.kernel`` / ``--kernel`` / ``REPRO_KERNEL``
 #: (the env var accepts only the result-identical subset, see above).
 KERNEL_CHOICES: Tuple[str, ...] = ("auto", "python", "numpy", "subround")
@@ -45,21 +45,12 @@ KERNEL_CHOICES: Tuple[str, ...] = ("auto", "python", "numpy", "subround")
 #: Environment variable consulted when the configured kernel is ``"auto"``.
 KERNEL_ENV_VAR = "REPRO_KERNEL"
 
-#: Below this many pins, ``"auto"`` resolves to the scalar backend even
-#: when numpy is importable: the vectorized kernels' per-call constants
-#: exceed their savings on tiny instances (BENCH_kernels.json: balu at
-#: 2697 pins runs full_pass at 0.92x under numpy, industry2 at 48404
-#: pins at 1.06x).  Explicit ``"numpy"`` requests are always honored.
+#: Below this many pins, ``"auto"`` resolves to the scalar backend: the
+#: vectorized kernels' per-call constants exceed their savings on tiny
+#: instances (BENCH_kernels.json: balu at 2697 pins runs full_pass at
+#: 0.92x under numpy, industry2 at 48404 pins at 1.06x).  Explicit
+#: ``"numpy"`` requests are always honored.
 AUTO_SCALAR_CUTOFF_PINS = 4096
-
-
-def numpy_available() -> bool:
-    """True when the numpy backend can be imported."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
 
 
 def resolve_kernel(
@@ -67,12 +58,10 @@ def resolve_kernel(
 ) -> str:
     """Resolve a backend request to a concrete backend name.
 
-    ``kernel`` is ``"auto"``/``None`` (consult ``REPRO_KERNEL``, then
-    availability and — when ``num_pins`` is given — the
-    :data:`AUTO_SCALAR_CUTOFF_PINS` instance-size cutoff), ``"python"``,
-    ``"numpy"``, or ``"subround"``.  Returns a concrete name; never
-    raises on an unavailable backend (warns and falls back instead), but
-    rejects unknown *explicit* names.
+    ``kernel`` is ``"auto"``/``None`` (consult ``REPRO_KERNEL``, then —
+    when ``num_pins`` is given — the :data:`AUTO_SCALAR_CUTOFF_PINS`
+    instance-size cutoff), ``"python"``, ``"numpy"``, or ``"subround"``.
+    Returns a concrete name; rejects unknown *explicit* names.
 
     ``num_pins`` only influences ``"auto"`` resolution: explicit
     requests and ``REPRO_KERNEL`` selections are honored at any size.
@@ -83,37 +72,24 @@ def resolve_kernel(
         raise ValueError(
             f"unknown kernel {kernel!r} (choices: {', '.join(KERNEL_CHOICES)})"
         )
-    auto = kernel == "auto"
-    if auto:
-        env = os.environ.get(KERNEL_ENV_VAR, "").strip().lower()
-        if env in ("python", "numpy"):
-            kernel = env
-            auto = False
-        elif env and env != "auto":
-            # "subround" lands here deliberately: it changes results, so
-            # an ambient env var must not be able to select it (cached
-            # runs would silently stop matching their fingerprints).
-            warnings.warn(
-                f"ignoring {KERNEL_ENV_VAR}={env!r} (the environment "
-                "variable accepts only auto/python/numpy)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    if kernel in ("numpy", "subround") and not numpy_available():
+    if kernel != "auto":
+        return kernel
+    env = os.environ.get(KERNEL_ENV_VAR, "").strip().lower()
+    if env in ("python", "numpy"):
+        return env
+    if env and env != "auto":
+        # "subround" lands here deliberately: it changes results, so an
+        # ambient env var must not be able to select it (cached runs
+        # would silently stop matching their fingerprints).
         warnings.warn(
-            f"{kernel} kernel requested but numpy is not importable; "
-            "falling back to the python backend",
+            f"ignoring {KERNEL_ENV_VAR}={env!r} (the environment "
+            "variable accepts only auto/python/numpy)",
             RuntimeWarning,
             stacklevel=2,
         )
+    if num_pins is not None and num_pins < AUTO_SCALAR_CUTOFF_PINS:
         return "python"
-    if auto:
-        if not numpy_available():
-            return "python"
-        if num_pins is not None and num_pins < AUTO_SCALAR_CUTOFF_PINS:
-            return "python"
-        return "numpy"
-    return kernel
+    return "numpy"
 
 
 def make_gain_engine(partition, kernel: str):
@@ -129,26 +105,19 @@ def make_gain_engine(partition, kernel: str):
             "construct a SubroundPropEngine/SubroundFMEngine instead"
         )
     if kernel == "numpy":
-        from .numpy_backend import NumpyGainEngine
-
         return NumpyGainEngine(partition)
     from ..core.gains import ProbabilisticGainEngine
 
     return ProbabilisticGainEngine(partition)
 
 
-def __getattr__(name: str):
-    # Lazy re-exports so `import repro.kernels` works without numpy.
-    if name in ("NumpyGainEngine", "fm_initial_gains", "la_initial_vectors"):
-        from . import numpy_backend
-
-        return getattr(numpy_backend, name)
-    if name == "CsrView":
-        from .csr import CsrView
-
-        return CsrView
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
+# Imported after the selection functions: numpy_backend imports
+# repro.core, whose engine imports them from this package.
+from .numpy_backend import (  # noqa: E402
+    NumpyGainEngine,
+    fm_initial_gains,
+    la_initial_vectors,
+)
 
 __all__ = [
     "AUTO_SCALAR_CUTOFF_PINS",
@@ -159,6 +128,5 @@ __all__ = [
     "fm_initial_gains",
     "la_initial_vectors",
     "make_gain_engine",
-    "numpy_available",
     "resolve_kernel",
 ]

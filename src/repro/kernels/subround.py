@@ -1,8 +1,8 @@
 """Deterministic sub-round parallel refinement on the CSR view.
 
-The sequential pass loops (PROP in :mod:`repro.core.engine`, FM in
-:mod:`repro.baselines.fm`) move one node at a time and pay per-move
-container maintenance and neighbor-gain updates — the cost that
+The sequential move loop (:class:`repro.passes.GainPolicy`, shared by
+PROP, FM and LA) moves one node at a time and pays per-move container
+maintenance and neighbor-gain updates — the cost that
 ``BENCH_kernels.json`` shows dominating ``full_pass`` even after the
 numpy kernels made ``all_gains`` ~4.6x faster.  The ``"subround"``
 kernel restructures a pass along the synchronous sub-round scheme of
@@ -581,8 +581,8 @@ class _SubroundEngineBase:
 
     One engine instance serves one run (it owns the CSR view, the
     optional shared-memory worker pool, and the run-level telemetry);
-    the run loop calls :meth:`run_pass` per pass and :meth:`close` in a
-    ``finally``.
+    the run driver (:func:`repro.passes.run_passes`) calls
+    :meth:`run_pass` per pass and :meth:`close` in a ``finally``.
     """
 
     kernel_name = "subround"
@@ -683,30 +683,23 @@ class _SubroundEngineBase:
         self,
         balance: BalanceConstraint,
         pass_index: int,
-        observer=None,
-        auditor=None,
-        rec=None,
-        phase=None,
-        counters=None,
+        auditor,
+        rec,
+        phase: dict,
+        counters,
     ) -> PassJournal:
         """One tentative-move pass as a sequence of sub-rounds.
 
-        Mirrors the sequential ``_run_pass`` contract: locks are left
-        set, the journal records every tentative move with its realized
-        immediate gain, and the caller performs the best-prefix
-        rollback.
+        Mirrors the sequential move loop's contract
+        (:meth:`repro.passes.GainPolicy.run_pass`): locks are left set,
+        the journal records every tentative move with its realized
+        immediate gain, ``phase`` receives the pass's phase seconds by
+        span name, and the driver performs the best-prefix rollback.
         """
         part = self.partition
         graph = part.graph
-        if auditor is not None:
-            auditor.start_pass(part)
-
+        gains = self._start_pass(phase)
         t0 = time.perf_counter()
-        self._refresh_mirrors()
-        self._bootstrap()
-        t1 = time.perf_counter()
-        gains = self._refine()
-        t2 = time.perf_counter()
 
         journal = PassJournal()
         node_weights = graph.node_weights
@@ -750,28 +743,20 @@ class _SubroundEngineBase:
                         float(gains[v]), imm[j],
                     )
                     counters.moves += 1
-                if observer is not None:
-                    observer(pass_index, v, float(gains[v]), imm[j])
             if auditor is not None:
                 auditor.after_batch(part, batch, imm)
                 auditor.check_subround_batch(part, pre_sides, batch, imm)
 
             gains = self._next_gains(gains)
-        t3 = time.perf_counter()
-        if phase is not None:
-            phase["bootstrap_seconds"] += t1 - t0
-            phase["refine_seconds"] += t2 - t1
-            phase["move_loop_seconds"] += t3 - t2
-        if rec is not None:
-            rec.span(pass_index, "bootstrap", t1 - t0)
-            rec.span(pass_index, "refine", t2 - t1)
-            rec.span(pass_index, "move_loop", t3 - t2)
-            rec.counters(pass_index, counters.as_dict())
+        phase["move_loop"] = time.perf_counter() - t0
         return journal
 
     def run_stats(self) -> dict:
-        """Sub-round telemetry for ``BipartitionResult.stats``."""
+        """Kernel and sub-round telemetry for ``BipartitionResult.stats``."""
         return {
+            "kernel_numpy": 0.0,
+            "kernel_subround": 1.0,
+            "csr_build_seconds": self.csr.build_seconds,
             "subrounds": float(self.subrounds),
             "subround_conflicts": float(self.conflicts),
             "subround_balance_rejects": float(self.balance_rejects),
@@ -782,10 +767,9 @@ class _SubroundEngineBase:
         }
 
     # -- hooks implemented by the PROP / FM specializations -----------
-    def _bootstrap(self) -> None:
-        raise NotImplementedError
-
-    def _refine(self) -> np.ndarray:
+    def _start_pass(self, phase: dict) -> np.ndarray:
+        """Refresh the state mirrors and return the pass's first gains,
+        recording the pre-loop phase seconds into ``phase``."""
         raise NotImplementedError
 
     def _next_gains(self, gains: np.ndarray) -> np.ndarray:
@@ -814,6 +798,7 @@ class SubroundPropEngine(_SubroundEngineBase):
     """
 
     algorithm = "PROP"
+    phases = ("bootstrap", "refine", "gain_init", "move_loop")
 
     def __init__(
         self,
@@ -863,6 +848,21 @@ class SubroundPropEngine(_SubroundEngineBase):
         self.p[free] = values[free]
         self.p[self._locked] = 0.0
         self.probability_writes += 1
+
+    def _start_pass(self, phase: dict) -> np.ndarray:
+        t0 = time.perf_counter()
+        self._refresh_mirrors()
+        self._bootstrap()
+        t1 = time.perf_counter()
+        gains = self._refine()
+        phase["bootstrap"] = t1 - t0
+        phase["refine"] = time.perf_counter() - t1
+        return gains
+
+    def run_stats(self) -> dict:
+        stats = super().run_stats()
+        stats["underflow_recomputes"] = float(self.underflow_recomputes)
+        return stats
 
     def _bootstrap(self) -> None:
         config = self.config
@@ -947,6 +947,7 @@ class SubroundFMEngine(_SubroundEngineBase):
     """
 
     algorithm = "FM"
+    phases = ("gain_init", "move_loop")
 
     def __init__(
         self,
@@ -981,11 +982,13 @@ class SubroundFMEngine(_SubroundEngineBase):
         )
         return self._gains
 
-    def _bootstrap(self) -> None:
+    def _start_pass(self, phase: dict) -> np.ndarray:
+        t0 = time.perf_counter()
+        self._refresh_mirrors()
         self._last_batch = None
-
-    def _refine(self) -> np.ndarray:
-        return self._compute_gains().copy()
+        gains = self._compute_gains().copy()
+        phase["gain_init"] = time.perf_counter() - t0
+        return gains
 
     def _next_gains(self, gains: np.ndarray) -> np.ndarray:
         csr = self.csr

@@ -173,7 +173,7 @@ def _place(
     terminals: bool = False,
 ) -> None:
     # Coarse position estimate for every node in this region (outside
-    # observers — terminal propagation at sibling regions — read these).
+    # readers — terminal propagation at sibling regions — use these).
     cx = (region.x0 + region.x1) / 2
     cy = (region.y0 + region.y1) / 2
     for v in nodes:

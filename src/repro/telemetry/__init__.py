@@ -3,9 +3,8 @@
 The PROP/FM/LA pass loops (and the multi-run harness above them) accept
 a ``recorder`` implementing the :class:`Recorder` protocol and narrate
 each run as typed events: timing spans per pass phase, per-move events
-(selection key vs. realized gain — the successor of the old
-``MoveObserver`` callbacks), per-pass operation counters, and pass/run
-lifecycle markers.
+(selection key vs. realized gain), per-pass operation counters, and
+pass/run lifecycle markers.
 
 Guarantees:
 

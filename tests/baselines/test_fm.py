@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import FMPartitioner, run_fm
-from repro.baselines.fm import _make_containers, _pick_move, _move_with_gain_updates
+from repro.baselines.fm import _make_containers, _move_with_gain_updates
 from repro.hypergraph import hierarchical_circuit, planted_bisection
 from repro.partition import (
     BalanceConstraint,
@@ -14,6 +14,9 @@ from repro.partition import (
     cut_cost,
     random_balanced_sides,
 )
+from repro.passes import pick_move
+from repro.telemetry import MemoryRecorder
+from repro.testing import weighted_instance
 
 
 class TestQuality:
@@ -63,6 +66,20 @@ class TestVariants:
         with pytest.raises(ValueError, match="unit net costs"):
             FMPartitioner("bucket").partition(weighted, seed=0)
 
+    def test_bucket_rejects_weighted_nets_before_the_run_starts(self):
+        # A trace must never hold a run without its run_end: the
+        # unit-cost check runs before the first recorder event.
+        graph = weighted_instance(3, max_nodes=24)
+        assert not graph.has_unit_net_costs
+        rec = MemoryRecorder()
+        with pytest.raises(ValueError, match="unit net costs"):
+            run_fm(
+                graph, random_balanced_sides(graph, 3),
+                BalanceConstraint.fifty_fifty(graph),
+                container="bucket", recorder=rec,
+            )
+        assert rec.runs == [] and rec.results == []
+
     def test_tree_handles_weighted_nets(self, medium_circuit):
         weighted = medium_circuit.with_net_costs(
             [1.0 + (i % 4) * 0.5 for i in range(medium_circuit.num_nets)]
@@ -104,7 +121,7 @@ class TestDeltaGainCorrectness:
                 v, int(partition.immediate_gain(v))
             )
         for _ in range(30):
-            node = _pick_move(containers, partition, balance)
+            node = pick_move(containers, partition, balance)
             if node is None:
                 break
             side = partition.side(node)

@@ -18,9 +18,8 @@ import os
 import signal
 import time
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.core import PropConfig, PropPartitioner
 from repro.core.engine import run_prop

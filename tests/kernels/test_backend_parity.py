@@ -9,11 +9,10 @@ changes move order.  So every assertion here is ``==``, never
 
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-np = pytest.importorskip("numpy")
 
 from repro.core.gains import DIV_SAFE_MIN, ProbabilisticGainEngine
 from repro.hypergraph import Hypergraph
@@ -286,15 +285,6 @@ class TestResolution:
         monkeypatch.setenv("REPRO_KERNEL", "cuda")
         with pytest.warns(RuntimeWarning):
             assert resolve_kernel("auto") in ("python", "numpy")
-
-    def test_numpy_unavailable_falls_back(self, monkeypatch):
-        import repro.kernels as kernels
-
-        monkeypatch.setattr(kernels, "numpy_available", lambda: False)
-        with pytest.warns(RuntimeWarning):
-            assert kernels.resolve_kernel("numpy") == "python"
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        assert kernels.resolve_kernel("auto") == "python"
 
     def test_make_gain_engine_backends(self):
         graph = random_instance(1)

@@ -7,8 +7,6 @@ import sys
 
 import pytest
 
-pytest.importorskip("numpy")
-
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
 SCRIPT = os.path.join(REPO_ROOT, "scripts", "perf_bench.py")
 BASELINE = os.path.join(REPO_ROOT, "BENCH_kernels.json")

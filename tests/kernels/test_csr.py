@@ -7,9 +7,8 @@ floating-point products are only reproducible when the factors arrive in
 the same order.  These tests pin that invariant structurally.
 """
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.hypergraph import make_benchmark
 from repro.kernels.csr import CsrView

@@ -13,8 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-pytest.importorskip("numpy")
-
 from repro.audit import AuditConfig
 from repro.baselines.fm import run_fm
 from repro.baselines.la import run_la
@@ -22,6 +20,7 @@ from repro.core import PropConfig
 from repro.core.engine import run_prop
 from repro.hypergraph import make_benchmark
 from repro.partition import BalanceConstraint, random_balanced_sides
+from repro.telemetry import MemoryRecorder
 from repro.testing import GRID_SEEDS, random_instance, weighted_instance
 from repro.testing import strategies as st_repro
 from repro.testing.golden import CIRCUITS, build_circuit
@@ -30,13 +29,21 @@ from repro.testing.golden import CIRCUITS, build_circuit
 _INVARIANT_STATS = ("underflow_recomputes",)
 
 
+def _moves(rec):
+    """(pass, node, selection gain, immediate gain) per recorded move."""
+    return [
+        (m.pass_index, m.node, m.selection_key, m.immediate_gain)
+        for m in rec.moves
+    ]
+
+
 def _prop_once(graph, sides, balance, kernel, **config_kwargs):
-    moves = []
+    rec = MemoryRecorder()
     result = run_prop(
         graph, sides, balance, PropConfig(kernel=kernel, **config_kwargs),
-        observer=lambda p, n, sg, ig: moves.append((p, n, sg, ig)),
+        recorder=rec,
     )
-    return moves, result
+    return _moves(rec), result
 
 
 def _assert_prop_identical(graph, sides, balance, **config_kwargs):
@@ -107,12 +114,12 @@ def test_fm_backends_identical(container):
     balance = BalanceConstraint.fifty_fifty(graph)
     results = {}
     for kernel in ("python", "numpy"):
-        moves = []
+        rec = MemoryRecorder()
         r = run_fm(
             graph, sides, balance, container=container, kernel=kernel,
-            observer=lambda p, n, sg, ig: moves.append((p, n, sg, ig)),
+            recorder=rec,
         )
-        results[kernel] = (moves, r.cut, r.sides, r.pass_cuts)
+        results[kernel] = (_moves(rec), r.cut, r.sides, r.pass_cuts)
     assert results["python"] == results["numpy"]
 
 
@@ -123,12 +130,11 @@ def test_la_backends_identical(k):
     balance = BalanceConstraint.fifty_fifty(graph)
     results = {}
     for kernel in ("python", "numpy"):
-        moves = []
+        rec = MemoryRecorder()
         r = run_la(
-            graph, sides, balance, k=k, kernel=kernel,
-            observer=lambda p, n, sg, ig: moves.append((p, n, sg, ig)),
+            graph, sides, balance, k=k, kernel=kernel, recorder=rec,
         )
-        results[kernel] = (moves, r.cut, r.sides, r.pass_cuts)
+        results[kernel] = (_moves(rec), r.cut, r.sides, r.pass_cuts)
     assert results["python"] == results["numpy"]
 
 
@@ -147,15 +153,14 @@ class TestGoldenCorpusBackends:
         balance = BalanceConstraint.fifty_fifty(graph)
         results = {}
         for kernel in ("python", "numpy"):
-            moves = []
+            rec = MemoryRecorder()
             r = run_prop(
                 graph, sides, balance, PropConfig(kernel=kernel),
-                observer=lambda p, n, sg, ig: moves.append((p, n, sg, ig)),
-                audit=AuditConfig(every=7),
+                recorder=rec, audit=AuditConfig(every=7),
             )
             assert r.stats["audited"] == 1.0
             assert r.stats["audit_checks"] > 0
-            results[kernel] = (moves, r.cut, r.sides)
+            results[kernel] = (_moves(rec), r.cut, r.sides)
         assert results["python"] == results["numpy"]
 
     @pytest.mark.parametrize("circuit", sorted(CIRCUITS))

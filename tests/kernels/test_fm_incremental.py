@@ -13,9 +13,8 @@ byte-identical move sequences).
 
 import random
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.baselines.fm import run_fm
 from repro.kernels.csr import CsrView
@@ -30,6 +29,7 @@ from repro.partition import (
     Partition,
     random_balanced_sides,
 )
+from repro.telemetry import MemoryRecorder
 from repro.testing.golden import CIRCUITS, CORPUS_SEED, build_circuit
 
 _CIRCUIT_NAMES = sorted(CIRCUITS)
@@ -91,7 +91,7 @@ class _FullRecomputeFMEngine(SubroundFMEngine):
 
 
 def _fm_run(graph, sides, balance, engine_cls):
-    moves = []
+    rec = MemoryRecorder()
     original = subround_mod.SubroundFMEngine
     subround_mod.SubroundFMEngine = engine_cls
     try:
@@ -99,10 +99,14 @@ def _fm_run(graph, sides, balance, engine_cls):
             graph, sides, balance,
             seed=CORPUS_SEED,
             kernel="subround",
-            observer=lambda p, n, sg, ig: moves.append((p, n, sg, ig)),
+            recorder=rec,
         )
     finally:
         subround_mod.SubroundFMEngine = original
+    moves = [
+        (m.pass_index, m.node, m.selection_key, m.immediate_gain)
+        for m in rec.moves
+    ]
     return moves, result
 
 

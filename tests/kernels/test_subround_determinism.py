@@ -18,13 +18,12 @@ import os
 
 import pytest
 
-pytest.importorskip("numpy")
-
 from repro.baselines.fm import run_fm
 from repro.core import PropConfig
 from repro.core.engine import run_prop
 from repro.engine.shm import pool_supported
 from repro.partition import BalanceConstraint, random_balanced_sides
+from repro.telemetry import MemoryRecorder
 from repro.testing.golden import CIRCUITS, CORPUS_SEED, build_circuit
 
 #: Worker counts exercised by the matrix.  0 is the inline (no-pool)
@@ -41,27 +40,35 @@ def _corpus_case(name):
     return graph, sides, balance
 
 
+def _moves(rec):
+    """(pass, node, selection gain, immediate gain) per recorded move."""
+    return [
+        (m.pass_index, m.node, m.selection_key, m.immediate_gain)
+        for m in rec.moves
+    ]
+
+
 def _prop_subround(graph, sides, balance, workers):
-    moves = []
+    rec = MemoryRecorder()
     result = run_prop(
         graph, sides, balance,
         PropConfig(kernel="subround", subround_workers=workers),
         seed=CORPUS_SEED,
-        observer=lambda p, n, sg, ig: moves.append((p, n, sg, ig)),
+        recorder=rec,
     )
-    return moves, result
+    return _moves(rec), result
 
 
 def _fm_subround(graph, sides, balance, workers):
-    moves = []
+    rec = MemoryRecorder()
     result = run_fm(
         graph, sides, balance,
         seed=CORPUS_SEED,
         kernel="subround",
         subround_workers=workers,
-        observer=lambda p, n, sg, ig: moves.append((p, n, sg, ig)),
+        recorder=rec,
     )
-    return moves, result
+    return _moves(rec), result
 
 
 def _assert_same_run(reference, candidate, workers):
@@ -128,13 +135,14 @@ def test_prop_subround_seed_changes_tie_breaks():
     """
     graph, sides, balance = _corpus_case("hier150")
     moves_a, _ = _prop_subround(graph, sides, balance, 0)
-    moves_b = []
+    rec = MemoryRecorder()
     run_prop(
         graph, sides, balance,
         PropConfig(kernel="subround"),
         seed=CORPUS_SEED + 1,
-        observer=lambda p, n, sg, ig: moves_b.append((p, n, sg, ig)),
+        recorder=rec,
     )
+    moves_b = _moves(rec)
     # Both runs are valid; equality of full traces across different seeds
     # on this instance would be astronomically unlikely unless the seed
     # were ignored.

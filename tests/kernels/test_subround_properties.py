@@ -15,11 +15,10 @@ machinery over hypothesis-generated instances:
    ``move_and_lock``-per-node replay produces.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-np = pytest.importorskip("numpy")
 
 from repro.kernels.csr import CsrView
 from repro.kernels.subround import (

@@ -32,6 +32,18 @@ class TestPhaseStats:
                     "rollback_seconds"):
             assert key in result.stats
 
+    @pytest.mark.parametrize("kernel", ["python", "numpy", "subround"])
+    @pytest.mark.parametrize("container", ["bucket", "tree"])
+    def test_fm_reports_no_prop_phases(self, kernel, container, graph):
+        # bootstrap/refine are PROP-only (Fig. 2 steps 3-4); FM's Eqn-1
+        # gain sweep is gain_init under every kernel.
+        result = FMPartitioner(container, kernel=kernel).partition(
+            graph, seed=0
+        )
+        assert "bootstrap_seconds" not in result.stats
+        assert "refine_seconds" not in result.stats
+        assert result.stats["gain_init_seconds"] > 0.0
+
     def test_collect_phase_seconds_filters(self):
         stats = {
             "move_loop_seconds": 1.5,
