@@ -482,7 +482,8 @@ class PassAuditor:
     def check_prop_kernel(self, partition, engine) -> None:
         """The numpy backend's per-net product cache matches brute force.
 
-        No-op for engines without a product cache (the python backend).
+        No-op for engines without a product cache: the python backend, and
+        the numpy backend until the cached strategy creates its cache.
         Every *valid* cache entry must equal the sequential left-to-right
         product of its side's pin probabilities **exactly** — the kernels
         promise bit-identity, so any tolerance here would hide the very

@@ -19,10 +19,12 @@ from __future__ import annotations
 import time
 from typing import List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from ..audit import AuditConfig
 from ..datastructures import BucketGainContainer, TreeGainContainer
 from ..hypergraph import Hypergraph
-from ..kernels import CsrView, fm_initial_gains, resolve_kernel
+from ..kernels import CsrView, fm_gains, resolve_kernel
 from ..partition import (
     BalanceConstraint,
     BipartitionResult,
@@ -163,7 +165,12 @@ class FMGains(GainPolicy):
     def initial_keys(self) -> List[float]:
         partition = self.partition
         if self.csr is not None:
-            gains = fm_initial_gains(self.csr, partition)
+            gains = fm_gains(
+                self.csr,
+                np.asarray(partition.sides_view(), dtype=np.intp),
+                np.asarray(partition.counts_view(0), dtype=np.int64),
+                np.asarray(partition.counts_view(1), dtype=np.int64),
+            ).tolist()
         else:
             gains = [
                 partition.immediate_gain(v)

@@ -189,24 +189,6 @@ class PropConfig:
         """A copy with the given fields replaced (re-validated)."""
         return replace(self, **kwargs)
 
-    def describe(self) -> Dict[str, Any]:
-        """Flat dict of all parameters (for result metadata / logs)."""
-        return {
-            "pinit": self.pinit,
-            "pmax": self.pmax,
-            "pmin": self.pmin,
-            "gup": self.gup,
-            "glo": self.glo,
-            "probability_function": self.probability_function,
-            "init_method": self.init_method,
-            "refinement_iterations": self.refinement_iterations,
-            "top_update_count": self.top_update_count,
-            "update_strategy": self.update_strategy,
-            "kernel": self.kernel,
-            "subround_workers": self.subround_workers,
-            "subround_batch_fraction": self.subround_batch_fraction,
-        }
-
 
 #: The paper's published parameterization (Sec. 4) — also the default.
 PAPER_CONFIG = PropConfig()

@@ -1,12 +1,12 @@
 """Intra-instance parallelism over ``multiprocessing.shared_memory``.
 
 The experiment engine (:mod:`repro.engine.engine`) parallelizes *across*
-work units; this module parallelizes *within* one instance: the
-sub-round kernels of :mod:`repro.kernels.subround` are pure functions
-over contiguous ranges, so N workers each computing a fixed net-range
-(side products) and node-range (gains) produce bit-identical results to
-one inline sweep — the coordinator only chooses how the ranges are cut,
-never what they contain.
+work units; this module parallelizes *within* one instance: the gain
+kernels of :mod:`repro.kernels.numpy_backend` that the sub-round
+engines call are pure functions over any net or node set, so N workers
+each computing a fixed net-range (side products) and node-range (gains)
+produce bit-identical results to one inline sweep — the coordinator only
+chooses how the ranges are cut, never what they contain.
 
 One :class:`SubroundPool` owns exactly one shared segment holding the
 static CSR arrays (written once — workers attach instead of unpickling a
@@ -36,6 +36,7 @@ import multiprocessing
 import os
 import time
 from multiprocessing import shared_memory
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -54,6 +55,13 @@ COMMAND_TIMEOUT_ENV = "REPRO_SUBROUND_TIMEOUT"
 DEFAULT_COMMAND_TIMEOUT = 30.0
 
 _ALIGN = 64
+
+#: The static :class:`~repro.kernels.csr.CsrView` arrays the gain kernels
+#: read, written into the segment once.
+_CSR_FIELDS = (
+    "pin_node", "pin_net", "net_offset",
+    "nm_net", "nm_owner", "nm_cost", "nm_flip", "node_offset",
+)
 
 
 class PoolError(RuntimeError):
@@ -91,10 +99,10 @@ def segment_layout(
         ("pin_node", np.dtype(np.intp), m),
         ("pin_net", np.dtype(np.intp), m),
         ("net_offset", np.dtype(np.intp), e + 1),
-        ("net_size", np.dtype(np.float64), e),
         ("nm_net", np.dtype(np.intp), m),
         ("nm_owner", np.dtype(np.intp), m),
         ("nm_cost", np.dtype(np.float64), m),
+        ("nm_flip", np.dtype(np.intp), m),
         ("node_offset", np.dtype(np.intp), n + 1),
         # -- per-round inputs (coordinator writes, workers read) --
         ("p", np.dtype(np.float64), n),
@@ -102,10 +110,9 @@ def segment_layout(
         ("locked", np.dtype(np.bool_), n),
         ("counts0", np.dtype(np.int64), e),
         ("counts1", np.dtype(np.int64), e),
-        # -- outputs (each worker writes only its own range) --
-        ("prod0", np.dtype(np.float64), e),
-        ("prod1", np.dtype(np.float64), e),
-        ("count1", np.dtype(np.float64), e),
+        # -- outputs (each worker writes only its own range); the
+        # products are a side-major stack (see prop_products) --
+        ("prods", np.dtype(np.float64), 2 * e),
         ("gains", np.dtype(np.float64), n),
     ]
     layout = []
@@ -155,14 +162,23 @@ def _worker_main(conn, shm_name, layout, worker_id, net_range, node_range):
     # (Do NOT unregister here: that would remove the parent's entry from
     # the shared tracker and break its cleanup accounting.)
     arr = attach_arrays(shm.buf, layout)
-    elo, ehi = net_range
-    vlo, vhi = node_range
-    from ..faults import current_injector
-    from ..kernels.subround import (
-        fm_gains_range,
-        prop_gains_range,
-        prop_products_range,
+    csr = SimpleNamespace(
+        num_nodes=arr["p"].size,
+        num_nets=arr["net_offset"].size - 1,
+        **{name: arr[name] for name in _CSR_FIELDS},
     )
+    # Each chunk is one slice of the CSR arrays: no gather.
+    nets = slice(*net_range)
+    nodes = slice(*node_range)
+    from ..faults import current_injector
+    from ..kernels.numpy_backend import (
+        KernelScratch,
+        fm_gains,
+        prop_gains,
+        prop_products,
+    )
+
+    scratch = KernelScratch()
 
     try:
         conn.send(("ready", time.perf_counter() - t0))
@@ -176,27 +192,19 @@ def _worker_main(conn, shm_name, layout, worker_id, net_range, node_range):
             if injector is not None:
                 injector.on_subround_worker(worker_id, round_id)
             if cmd == "prods":
-                prop_products_range(
-                    elo, ehi, arr["p"], arr["sides"],
-                    arr["pin_node"], arr["pin_net"], arr["net_offset"],
-                    arr["net_size"], arr["prod0"], arr["prod1"],
-                    arr["count1"],
+                prop_products(
+                    csr, arr["p"], arr["sides"], arr["prods"], nets, scratch
                 )
                 conn.send(("ok", 0))
             elif cmd == "gains":
-                underflows = prop_gains_range(
-                    vlo, vhi, arr["p"], arr["sides"], arr["locked"],
-                    arr["prod0"], arr["prod1"], arr["count1"],
-                    arr["net_size"], arr["nm_net"], arr["nm_owner"],
-                    arr["nm_cost"], arr["node_offset"], arr["pin_node"],
-                    arr["net_offset"], arr["gains"],
+                arr["gains"][nodes], underflows = prop_gains(
+                    csr, arr["p"], arr["sides"], arr["locked"],
+                    arr["prods"], nodes, scratch=scratch,
                 )
                 conn.send(("ok", underflows))
             elif cmd == "fm":
-                fm_gains_range(
-                    vlo, vhi, arr["sides"], arr["counts0"], arr["counts1"],
-                    arr["nm_net"], arr["nm_owner"], arr["nm_cost"],
-                    arr["node_offset"], arr["gains"],
+                arr["gains"][nodes] = fm_gains(
+                    csr, arr["sides"], arr["counts0"], arr["counts1"], nodes
                 )
                 conn.send(("ok", 0))
             else:
@@ -240,10 +248,7 @@ class SubroundPool:
         self._shm = shared_memory.SharedMemory(create=True, size=size)
         atexit.register(self._atexit_close)
         self.arr = attach_arrays(self._shm.buf, layout)
-        for name in (
-            "pin_node", "pin_net", "net_offset", "net_size",
-            "nm_net", "nm_owner", "nm_cost", "node_offset",
-        ):
+        for name in _CSR_FIELDS:
             np.copyto(self.arr[name], getattr(csr, name))
 
         ctx = multiprocessing.get_context("fork")
@@ -304,20 +309,20 @@ class SubroundPool:
             total += self._recv(wid, conn)[1]
         return total
 
-    def prop_gains(self, p, sides, locked, prod0, prod1, count1, gains) -> int:
+    def prop_gains(self, p, sides, locked, prods, gains) -> int:
         """One PROP round: products then gains; returns underflow count.
 
         Copies the inputs in, runs both barrier phases, copies the
-        outputs back out into the caller's arrays.
+        outputs back out into the caller's arrays (``prods`` is the
+        side-major stack of
+        :func:`~repro.kernels.numpy_backend.prop_products`).
         """
         np.copyto(self.arr["p"], p)
         np.copyto(self.arr["sides"], sides)
         np.copyto(self.arr["locked"], locked)
         self._broadcast("prods")
         underflows = self._broadcast("gains")
-        np.copyto(prod0, self.arr["prod0"])
-        np.copyto(prod1, self.arr["prod1"])
-        np.copyto(count1, self.arr["count1"])
+        np.copyto(prods, self.arr["prods"])
         np.copyto(gains, self.arr["gains"])
         return underflows
 

@@ -15,6 +15,13 @@ dominate PROP/FM/LA runtime:
   *different algorithm* from the sequential backends — cuts are
   comparable, not identical.
 
+Each gain equation has one vectorized implementation, in
+:mod:`repro.kernels.numpy_backend`: :func:`prop_products` with
+:func:`prop_gains` for PROP's Eqns. 3/4 and :func:`fm_gains` for FM's
+Eqn. 1.  They take any net or node set — all, a contiguous range, or an
+index array — and the numpy backend, FM's pass-start sweep, both
+sub-round engines and the shared-memory workers all call them.
+
 Selection precedence: an explicit backend name (``PropConfig.kernel``,
 ``run_fm(kernel=...)``, CLI ``--kernel``) wins; ``"auto"`` defers to the
 ``REPRO_KERNEL`` environment variable; failing that, numpy is used when
@@ -115,8 +122,10 @@ def make_gain_engine(partition, kernel: str):
 # repro.core, whose engine imports them from this package.
 from .numpy_backend import (  # noqa: E402
     NumpyGainEngine,
-    fm_initial_gains,
+    fm_gains,
     la_initial_vectors,
+    prop_gains,
+    prop_products,
 )
 
 __all__ = [
@@ -125,8 +134,10 @@ __all__ = [
     "KERNEL_ENV_VAR",
     "CsrView",
     "NumpyGainEngine",
-    "fm_initial_gains",
+    "fm_gains",
     "la_initial_vectors",
     "make_gain_engine",
+    "prop_gains",
+    "prop_products",
     "resolve_kernel",
 ]

@@ -46,7 +46,6 @@ class CsrView:
         "pin_net",
         "net_offset",
         "net_cost",
-        "net_size",
         "nm_net",
         "nm_cost",
         "nm_flip",
@@ -109,14 +108,11 @@ class CsrView:
         self.pin_net = np.asarray(pin_net, dtype=np.intp)
         self.net_offset = np.asarray(net_offset, dtype=np.intp)
         self.net_cost = np.asarray(graph.net_costs, dtype=np.float64)
-        # Pin counts as float64: exact for any realistic net (< 2^53 pins)
-        # and directly usable as bincount weights / comparison operands.
-        self.net_size = np.asarray(sizes, dtype=np.float64)
         self.nm_net = np.asarray(nm_net, dtype=np.intp)
         # Per-incidence net cost, pre-gathered once (static per graph).
         self.nm_cost = self.net_cost[self.nm_net]
-        # Flat-index helper for the (2, num_nets) side stacks used by the
-        # numpy engine: with ``flat = s*E + net`` the other side's slot is
+        # Flat-index helper for the side-major product stack of the gain
+        # kernels: with ``flat = s*E + net`` the other side's slot is
         # ``nm_flip - flat`` because their sum is always ``E + 2*net``.
         self.nm_flip = self.nm_net * 2 + e
         self.nm_owner = np.asarray(nm_owner, dtype=np.intp)

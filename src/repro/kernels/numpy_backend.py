@@ -1,5 +1,25 @@
 """NumPy gain kernels — bit-identical vectorization of the scalar engines.
 
+This module holds the one vectorized implementation of each gain
+equation, and every vectorized caller goes through it: the numpy
+backend's :class:`NumpyGainEngine`, FM's pass-start gain sweep, the
+sub-round engines of :mod:`repro.kernels.subround` and the
+shared-memory workers of :mod:`repro.engine.shm`.
+
+* :func:`prop_products` then :func:`prop_gains` — PROP's probabilistic
+  gains (paper Eqns. 2–6, reduced to Eqns. 3/4 in
+  :mod:`repro.core.gains`): per-net side clearing-products first, then
+  per-incidence contributions and per-node gains;
+* :func:`fm_gains` — FM's immediate gains (Eqn. 1);
+* :func:`la_initial_vectors` — LA-k gain vectors at pass start.
+
+The PROP and FM kernels work over any set of nets or nodes: all of them,
+a contiguous range (a shared-memory worker's chunk, one slice of the CSR
+arrays) or an index array (a sub-round's touched set, gathered with
+:func:`gather_segments`).  Each net's product and each node's sum is
+computed entirely from that net's or node's own CSR segment, so any
+split into chunks or subsets yields the same floats.
+
 The contract of this module is *exact* numerical equivalence with
 :mod:`repro.core.gains` (and the FM/LA init loops): same floats, same
 underflow-guard branches, same counter increments — so the move sequences,
@@ -24,18 +44,19 @@ of the primitives used here (and *only* these primitives):
 * Elementwise divide/subtract/multiply are IEEE-correct per element, so
   they match the corresponding scalar expressions exactly.
 
-The incremental move-loop engine keeps a per-net side-product cache
-(plain Python lists — the per-move working set is a handful of nets, where
-list indexing beats ndarray indexing and avoids leaking ``np.float64``
-into gain containers and journals) that is invalidated by
-``set_probability``/``on_lock``/``fill`` and refreshed wholesale by the
-vectorized bootstrap/refinement kernels, so a move costs O(pins of the
-moved node's nets) without rescanning unchanged nets.
+Under ``update_strategy="cached"`` the engine also keeps a per-net
+side-product cache (plain Python lists — the per-move working set is a
+handful of nets, where list indexing beats ndarray indexing and avoids
+leaking ``np.float64`` into gain containers and journals).  It exists
+only from the first :meth:`NumpyGainEngine.new_contribution_state`,
+which fills it wholesale; ``set_probability``/``on_lock``/``fill`` then
+invalidate it, so a move costs O(pins of the moved node's nets) without
+rescanning unchanged nets.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -43,31 +64,294 @@ from ..core.gains import DIV_SAFE_MIN, ProbabilisticGainEngine
 from ..partition import Partition
 from .csr import CsrView
 
-__all__ = ["NumpyGainEngine", "fm_initial_gains", "la_initial_vectors"]
+__all__ = [
+    "KernelScratch",
+    "NumpyGainEngine",
+    "fm_gains",
+    "gather_segments",
+    "la_initial_vectors",
+    "prop_gains",
+    "prop_products",
+]
+
+#: A kernel's net or node set: ``None`` (all), a contiguous ``slice``
+#: with explicit bounds, or an index array of distinct ids.
+Segments = Union[None, slice, np.ndarray]
+
+
+def gather_segments(
+    ids: np.ndarray, offsets: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Flattened CSR indices for the segments ``ids``, in segment order.
+
+    Returns ``(j, slot)``: ``j`` indexes the CSR value arrays so that
+    segment ``ids[k]``'s elements appear contiguously and in their
+    original CSR order, and ``slot[i] == k`` names the (compact) segment
+    each flattened element belongs to.  This is what lets the kernels
+    accumulate per-segment results with ``np.multiply.at`` /
+    ``np.bincount`` in exactly the element order of a full sweep — the
+    property their bit-identity rests on.
+    """
+    ids = np.asarray(ids, dtype=np.intp)
+    starts = offsets[ids]
+    sizes = offsets[ids + 1] - starts
+    total = int(sizes.sum())
+    slot = np.repeat(np.arange(ids.size, dtype=np.intp), sizes)
+    prev = np.cumsum(sizes) - sizes
+    j = (
+        np.arange(total, dtype=np.intp)
+        + np.repeat(starts - prev, sizes)
+    )
+    return j, slot
+
+
+class KernelScratch:
+    """Work arrays the gain kernels reuse from call to call.
+
+    A PROP sweep makes about a dozen pin-sized temporaries.  Allocated
+    afresh on every call, large ones come back from the allocator as new
+    pages, and the page faults cost more than the arithmetic (industry2,
+    48k pins: a ~1.4x slower sweep on a 2-vCPU x86 host).  A caller that
+    sweeps repeatedly keeps one of these: each named buffer grows to the
+    largest size requested and serves every later call as a view.  A name
+    keeps the dtype of its first request.
+    """
+
+    __slots__ = ("_bufs",)
+
+    def __init__(self) -> None:
+        self._bufs: Dict[str, np.ndarray] = {}
+
+    def __call__(self, name: str, size: int, dtype=np.float64) -> np.ndarray:
+        buf = self._bufs.get(name)
+        if buf is not None and buf.shape[0] == size:
+            return buf
+        if buf is None or buf.shape[0] < size:
+            buf = self._bufs[name] = np.empty(size, dtype=dtype)
+        return buf[:size]
+
+
+def _select(ids: Segments, count: int, offsets, owner, scratch):
+    """``(elements, slot, width)`` for the CSR segments ``ids``.
+
+    ``elements`` indexes the CSR value arrays — a slice for a contiguous
+    range, so a range costs no gather — and ``slot`` labels each element
+    with its segment's position in ``ids``; ``width`` is the number of
+    segments.  ``owner`` maps each CSR element to its segment id.
+    """
+    if ids is None:
+        ids = slice(0, count)
+    if isinstance(ids, slice):
+        lo, hi = ids.start, ids.stop
+        elements = slice(int(offsets[lo]), int(offsets[hi]))
+        slot = owner[elements]
+        if lo:
+            slot = np.subtract(
+                slot, lo, out=scratch("slot", slot.size, slot.dtype)
+            )
+        return elements, slot, hi - lo
+    j, slot = gather_segments(ids, offsets)
+    return j, slot, len(ids)
+
+
+def _take(a: np.ndarray, elements, scratch, name: str) -> np.ndarray:
+    """``a[elements]``: a view for a slice, else gathered into scratch."""
+    if isinstance(elements, slice):
+        return a[elements]
+    return np.take(a, elements, out=scratch(name, elements.size, a.dtype))
+
+
+# ----------------------------------------------------------------------
+# PROP: Eqns. 3/4
+# ----------------------------------------------------------------------
+def prop_products(
+    csr: CsrView,
+    p: np.ndarray,
+    sides: np.ndarray,
+    prods: np.ndarray,
+    nets: Segments = None,
+    scratch: Optional[KernelScratch] = None,
+) -> None:
+    """Per-net side clearing-products for ``nets``.
+
+    Writes into the side-major stack ``prods`` (length ``2 * num_nets``;
+    side ``s`` of net ``e`` lives at ``s * num_nets + e``) the product of
+    the pin probabilities on each side — the paper's p(n^{1→2}) without
+    exclusions.  Pins on the other side contribute an exact ``×1.0``, so
+    a side without pins keeps the empty product ``1.0``; locked pins
+    carry ``p = 0`` and force their side's product to ``+0.0`` exactly as
+    in the scalar path.
+    """
+    if scratch is None:
+        scratch = KernelScratch()
+    E = csr.num_nets
+    pins = _select(nets, E, csr.net_offset, csr.pin_net, scratch)[0]
+    if nets is None:
+        nets = slice(0, E)
+    pin_node = _take(csr.pin_node, pins, scratch, "pin_node")
+    pin_net = _take(csr.pin_net, pins, scratch, "pin_net")
+    k = pin_node.size
+    pin_side = np.take(sides, pin_node, out=scratch("pin_side", k, sides.dtype))
+    pin_p = np.take(p, pin_node, out=scratch("pin_p", k))
+    mask = scratch("mask", k, bool)
+    factors = scratch("factors", k)
+    for side in (0, 1):
+        np.equal(pin_side, side, out=mask)
+        factors.fill(1.0)
+        np.copyto(factors, pin_p, where=mask)
+        prod = prods[side * E:(side + 1) * E]
+        prod[nets] = 1.0
+        np.multiply.at(prod, pin_net, factors)
+
+
+def prop_gains(
+    csr: CsrView,
+    p: np.ndarray,
+    sides: np.ndarray,
+    locked: Optional[np.ndarray],
+    prods: np.ndarray,
+    nodes: Segments = None,
+    contributions: bool = False,
+    scratch: Optional[KernelScratch] = None,
+) -> Tuple[np.ndarray, int]:
+    """Probabilistic gains (Eqns. 3/4) of ``nodes``.
+
+    Reads the side-major stack that :func:`prop_products` wrote for
+    every net of ``nodes``.  ``locked`` is a per-node bool array, or
+    ``None`` when no node is locked.  Returns ``(values, underflows)``:
+    ``values`` holds one gain per node of ``nodes``, in order, with
+    locked nodes at ``0.0`` — or, with ``contributions=True``, one
+    contribution per (node, net) incidence in node-major order, where
+    locked owners' entries are garbage the caller must ignore (a view of
+    ``scratch``, valid until its next use).  ``underflows`` counts the
+    side products below :data:`DIV_SAFE_MIN` that took the exact
+    recompute branch.
+
+    Mine/other side values are fetched with one gather each from the
+    flat index ``mine = side * num_nets + net`` and its mirror
+    ``nm_flip - mine``.  The recompute branch visits incidences in
+    node-major order — the scalar engines' (node, net) order — so
+    ``underflows`` advances as it does there.
+    """
+    if scratch is None:
+        scratch = KernelScratch()
+    E = csr.num_nets
+    inc, slot, width = _select(
+        nodes, csr.num_nodes, csr.node_offset, csr.nm_owner, scratch
+    )
+    own = _take(csr.nm_owner, inc, scratch, "own")
+    net = _take(csr.nm_net, inc, scratch, "net")
+    k = own.size
+    s = np.take(sides, own, out=scratch("s", k, sides.dtype))
+    mine = np.multiply(s, E, out=scratch("mine", k, np.intp), dtype=np.intp)
+    np.add(mine, net, out=mine)
+    other = np.subtract(
+        _take(csr.nm_flip, inc, scratch, "flip"), mine,
+        out=scratch("other", k, np.intp),
+    )
+    pm = np.take(prods, mine, out=scratch("pm", k))
+    pu = np.take(p, own, out=scratch("pu", k))
+    ok = np.greater(pu, 0.0, out=scratch("ok", k, bool))
+    ok2 = np.greater_equal(pm, DIV_SAFE_MIN, out=scratch("ok2", k, bool))
+    np.logical_and(ok, ok2, out=ok)
+    prod_a = scratch("prod_a", k)
+    prod_a.fill(0.0)
+    np.divide(pm, pu, out=prod_a, where=ok)
+    underflows = 0
+    if not ok.all():
+        # Zero or underflowed products of free owners: recompute exactly.
+        redo = np.flatnonzero(~ok if locked is None else ~ok & ~locked[own])
+        pm_redo = pm[redo]
+        underflows = int(np.count_nonzero(
+            (pm_redo > 0.0) & (pm_redo < DIV_SAFE_MIN)
+        ))
+        prod_a[redo] = _clearing_products(
+            csr, p, sides, net[redo], s[redo], own[redo]
+        )
+    # Eqn. 3's cost*(prod_a - po) on cut nets also covers Eqn. 4's
+    # cost*(prod_a - 1.0) on internal ones: there po is the empty
+    # product, exactly 1.0.
+    contrib = np.subtract(
+        prod_a, np.take(prods, other, out=scratch("po", k)),
+        out=scratch("contrib", k),
+    )
+    np.multiply(_take(csr.nm_cost, inc, scratch, "cost"), contrib, out=contrib)
+    if contributions:
+        return contrib, underflows
+    gains = np.bincount(slot, weights=contrib, minlength=width)
+    if locked is not None:
+        gains[locked if nodes is None else locked[nodes]] = 0.0
+    return gains, underflows
+
+
+def _clearing_products(csr, p, sides, nets, side, exclude) -> np.ndarray:
+    """Exact product of ``p`` over the pins of ``nets[i]`` on ``side[i]``
+    except ``exclude[i]``, for each ``i`` — the scalar
+    ``net_clearing_probability``: each product runs over its net's pins in
+    CSR order, and once a factor zeroes it, it stays ``+0.0`` as at the
+    scalar early exit (every factor is finite and non-negative)."""
+    j, slot = gather_segments(nets, csr.net_offset)
+    pins = csr.pin_node[j]
+    keep = (sides[pins] == side[slot]) & (pins != exclude[slot])
+    prods = np.ones(nets.size)
+    np.multiply.at(prods, slot, np.where(keep, p[pins], 1.0))
+    return prods
+
+
+# ----------------------------------------------------------------------
+# FM: Eqn. 1
+# ----------------------------------------------------------------------
+def fm_gains(
+    csr: CsrView,
+    sides: np.ndarray,
+    counts0: np.ndarray,
+    counts1: np.ndarray,
+    nodes: Segments = None,
+) -> np.ndarray:
+    """FM Eqn. (1) immediate gains of ``nodes``, in order.
+
+    Bit-identical to ``partition.immediate_gain(v)`` per node: ``bincount``
+    sums the per-incidence ``±cost`` terms in node-major order — the same
+    order and values as the scalar loop; masked terms add an exact
+    ``+0.0``.
+    """
+    inc, slot, width = _select(
+        nodes, csr.num_nodes, csr.node_offset, csr.nm_owner, KernelScratch()
+    )
+    net = csr.nm_net[inc]
+    is0 = sides[csr.nm_owner[inc]] == 0
+    mine = np.where(is0, counts0[net], counts1[net])
+    theirs = np.where(is0, counts1[net], counts0[net])
+    cost = csr.nm_cost[inc]
+    term = np.where(
+        theirs == 0,
+        np.where(mine > 1, -cost, 0.0),
+        np.where(mine == 1, cost, 0.0),
+    )
+    return np.bincount(slot, weights=term, minlength=width)
 
 
 class NumpyGainEngine(ProbabilisticGainEngine):
     """Drop-in :class:`ProbabilisticGainEngine` with vectorized kernels.
 
     Overrides the O(m) bulk computations (:meth:`all_gains` and the
-    cached-strategy bootstrap) with array kernels over a :class:`CsrView`,
-    and the cached-strategy move update with an incremental engine that
-    reuses per-net side products across moves when no pin of the net has
-    changed.  Everything else — scalar ``node_gain``, probability
-    maintenance, validation — is inherited, so the recompute-strategy move
-    loop is *identical* code to the python backend.
+    cached-strategy bootstrap) with the array kernels above over a
+    :class:`CsrView`, and the cached-strategy move update with an
+    incremental engine that reuses per-net side products across moves
+    when no pin of the net has changed.  Everything else — scalar
+    ``node_gain``, probability maintenance, validation — is inherited, so
+    the recompute-strategy move loop is *identical* code to the python
+    backend.
     """
 
     __slots__ = (
         "csr",
+        "_prods",
+        "_scratch",
         "_prod0",
         "_prod1",
-        "_prod_src",
-        "_prod_lists_fresh",
         "_prod_valid",
         "_dirty_nodes",
-        "_all_invalid",
-        "_buf",
         "product_cache_hits",
         "product_cache_misses",
     )
@@ -83,50 +367,25 @@ class NumpyGainEngine(ProbabilisticGainEngine):
         super().__init__(partition, probabilities)
         self.csr = csr if csr is not None else CsrView(partition.graph)
         num_nets = partition.graph.num_nets
+        # Side-major product stack the bulk kernels write.
+        self._prods = np.empty(2 * num_nets)
+        self._scratch = KernelScratch()
         #: Cached per-net side clearing-products (Sec. 3.1's p(n^{1→2})
-        #: without exclusions) and their validity flags.  The bulk kernels
-        #: refresh the cache as a (2, num_nets) array (``_prod_src``); the
-        #: plain-list twins consumed by the scalar move loop are
-        #: materialized lazily (see :meth:`_ensure_product_lists`), so
-        #: refinement iterations never pay the array→list conversion.
-        self._prod0: List[float] = [1.0] * num_nets
-        self._prod1: List[float] = [1.0] * num_nets
-        self._prod_src: Optional[np.ndarray] = None
-        self._prod_lists_fresh = True
-        self._prod_valid: List[bool] = [False] * num_nets
+        #: without exclusions) and their validity flags.  ``_prod_valid``
+        #: is ``None`` until :meth:`new_contribution_state` creates the
+        #: cache: the recompute strategy never reads it, so it pays for
+        #: no invalidations.
+        self._prod0: List[float] = []
+        self._prod1: List[float] = []
+        self._prod_valid: Optional[List[bool]] = None
         # Deferred invalidation: probability writes append the touched
         # node here (O(1)) instead of walking its nets; the walk happens
         # once, at the next cache read (see _flush_invalidations).
         self._dirty_nodes: List[int] = []
-        self._all_invalid = False
         #: Incremental-engine telemetry: nets whose cached products were
         #: reused / had to be rescanned during move updates.
         self.product_cache_hits = 0
         self.product_cache_misses = 0
-        # Preallocated scratch for the bulk kernels: one allocation per
-        # run instead of a dozen num_pins-sized temporaries per call.
-        m = self.csr.num_pins
-        self._buf = {
-            "pin_side": np.empty(m, dtype=np.intp),
-            "pin_p": np.empty(m, dtype=np.float64),
-            "pin_mask": np.empty(m, dtype=bool),
-            "f0": np.empty(m, dtype=np.float64),
-            "f1": np.empty(m, dtype=np.float64),
-            "prods": np.empty(2 * num_nets, dtype=np.float64),
-            "counts": np.empty(2 * num_nets, dtype=np.float64),
-            "s": np.empty(m, dtype=np.intp),
-            "flat": np.empty(m, dtype=np.intp),
-            "flat_o": np.empty(m, dtype=np.intp),
-            "pm": np.empty(m, dtype=np.float64),
-            "po": np.empty(m, dtype=np.float64),
-            "oc": np.empty(m, dtype=np.float64),
-            "pu": np.empty(m, dtype=np.float64),
-            "prod_a": np.empty(m, dtype=np.float64),
-            "ot": np.empty(m, dtype=np.float64),
-            "contrib": np.empty(m, dtype=np.float64),
-            "ok": np.empty(m, dtype=bool),
-            "ok2": np.empty(m, dtype=bool),
-        }
 
     # ------------------------------------------------------------------
     # Cache invalidation — any probability change invalidates the products
@@ -134,190 +393,56 @@ class NumpyGainEngine(ProbabilisticGainEngine):
     # move_and_lock during a pass, whose on_lock lands here too; rollback
     # moves between passes are covered because every pass bootstrap
     # rewrites all free probabilities before any product is read.
-    # Invalidation is deferred: the hot probability writes (n per
-    # refinement sweep) just append the node; the per-net walk runs once,
-    # at the next cache read.
     # ------------------------------------------------------------------
     def set_probability(self, node: int, value: float) -> None:
         super().set_probability(node, value)
-        self._dirty_nodes.append(node)
+        if self._prod_valid is not None:
+            self._dirty_nodes.append(node)
 
     def fill(self, value: float) -> None:
         super().fill(value)
-        self._all_invalid = True
-        self._dirty_nodes.clear()
+        if self._prod_valid is not None:
+            self._prod_valid = [False] * self.csr.num_nets
+            self._dirty_nodes.clear()
 
     def on_lock(self, node: int) -> None:
         super().on_lock(node)
-        self._dirty_nodes.append(node)
+        if self._prod_valid is not None:
+            self._dirty_nodes.append(node)
 
     def _flush_invalidations(self) -> None:
         """Apply deferred invalidations before any validity flag is read."""
-        if self._all_invalid:
-            # Supersedes any queued per-node invalidation.
-            self._prod_valid = [False] * self.csr.num_nets
-            self._all_invalid = False
-            self._dirty_nodes.clear()
-        elif self._dirty_nodes:
-            valid = self._prod_valid
-            node_nets = self.partition.graph.node_nets
-            for v in self._dirty_nodes:
-                for net_id in node_nets(v):
-                    valid[net_id] = False
-            self._dirty_nodes.clear()
-
-    # ------------------------------------------------------------------
-    # Vectorized bulk kernels
-    # ------------------------------------------------------------------
-    def _bulk_kernel(
-        self, p_arr: np.ndarray, side_arr: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-net side products + node-major contributions in one sweep.
-
-        Returns ``(prod0, prod1, contrib)``: the per-net side
-        clearing-products and the per-(node, net) gain contributions
-        (Eqns. 3–6) in node-major order.  All three are views into the
-        engine's reused scratch buffers — valid only until the next bulk
-        call; callers copy what they keep.  Bit-identical to the scalar
-        engines:
-
-        * masked pins contribute an exact ``×1.0`` identity and
-          ``multiply.at`` applies factors in pin order, matching the
-          scalar product loops; locked pins carry ``p = 0`` and force
-          their side's product to ``+0.0`` exactly as in the scalar path;
-        * other-side pin counts are recovered with an exact
-          small-integer ``bincount`` (only their ``> 0`` predicate is
-          consumed, as in the scalar branch);
-        * contribution entries of locked owners are garbage (their divide
-          is masked off) and must be ignored by callers, mirroring the
-          scalar engines which skip locked nodes outright;
-        * the underflow/zero fallback loop visits pins in node-major
-          order — the same (node, net) order as the scalar loops — so
-          ``underflow_recomputes`` advances identically on both backends.
-        """
-        part = self.partition
-        csr = self.csr
-        b = self._buf
-        E = csr.num_nets
-
-        # --- net-major: side clearing-products -------------------------
-        pin_side = b["pin_side"]
-        pin_p = b["pin_p"]
-        mask = b["pin_mask"]
-        np.take(side_arr, csr.pin_node, out=pin_side)
-        np.take(p_arr, csr.pin_node, out=pin_p)
-        # ×1.0 substitution via masked copy (pure selection, identical to
-        # np.where but into the preallocated factor buffers).
-        f0 = b["f0"]
-        f1 = b["f1"]
-        f0.fill(1.0)
-        f1.fill(1.0)
-        np.equal(pin_side, 0, out=mask)
-        np.copyto(f0, pin_p, where=mask)
-        np.equal(pin_side, 1, out=mask)
-        np.copyto(f1, pin_p, where=mask)
-        prods = b["prods"]
-        prods.fill(1.0)
-        prod0 = prods[:E]
-        prod1 = prods[E:]
-        np.multiply.at(prod0, csr.pin_net, f0)
-        np.multiply.at(prod1, csr.pin_net, f1)
-        # Per-net side pin counts: count1 sums the 0/1 sides (exact in
-        # float64), count0 is the static net size minus count1.
-        counts = b["counts"]
-        count1 = np.bincount(csr.pin_net, weights=pin_side, minlength=E)
-        np.subtract(csr.net_size, count1, out=counts[:E])
-        counts[E:] = count1
-
-        # --- node-major: per-(node, net) contributions ------------------
-        own = csr.nm_owner
-        net = csr.nm_net
-        s = b["s"]
-        np.take(side_arr, own, out=s)
-        # Flat indices into the length-2E side stacks: mine = s*E + net,
-        # other = nm_flip - mine (their sum is always E + 2*net) — a
-        # single gather per selection, no arithmetic on the values.
-        flat = b["flat"]
-        flat_o = b["flat_o"]
-        np.multiply(s, E, out=flat)
-        np.add(flat, net, out=flat)
-        np.subtract(csr.nm_flip, flat, out=flat_o)
-        pm = b["pm"]
-        po = b["po"]
-        oc = b["oc"]
-        pu = b["pu"]
-        np.take(prods, flat, out=pm)
-        np.take(prods, flat_o, out=po)
-        np.take(counts, flat_o, out=oc)
-        np.take(p_arr, own, out=pu)
-        ok = b["ok"]
-        ok2 = b["ok2"]
-        np.greater(pu, 0.0, out=ok)
-        np.greater_equal(pm, DIV_SAFE_MIN, out=ok2)
-        np.logical_and(ok, ok2, out=ok)
-        prod_a = b["prod_a"]
-        prod_a.fill(0.0)
-        np.divide(pm, pu, out=prod_a, where=ok)
-        if not ok.all():
-            locked_arr = np.asarray(part.locked_view(), dtype=bool)
-            np.logical_not(ok, out=ok2)
-            for i in np.nonzero(ok2 & ~locked_arr[own])[0]:
-                pm_i = float(pm[i])
-                if 0.0 < pm_i < DIV_SAFE_MIN:
-                    self.underflow_recomputes += 1
-                prod_a[i] = self.net_clearing_probability(
-                    int(net[i]), int(s[i]), exclude=int(own[i])
-                )
-        # cost*(prod_a - po) / cost*(prod_a - 1.0), selected before the
-        # subtract+multiply — elementwise identical to selecting after.
-        ot = b["ot"]
-        ot.fill(1.0)
-        np.greater(oc, 0.0, out=ok2)
-        np.copyto(ot, po, where=ok2)
-        contrib = b["contrib"]
-        np.subtract(prod_a, ot, out=contrib)
-        np.multiply(csr.nm_cost, contrib, out=contrib)
-        return prod0, prod1, contrib
-
-    def _refresh_product_cache(
-        self, prod0: np.ndarray, prod1: np.ndarray
-    ) -> None:
-        """Adopt freshly computed side products (whole cache valid).
-
-        ``prod0``/``prod1`` are views of the reused scratch buffer, so the
-        cache keeps its own copy; the plain-list twins the move loop reads
-        are materialized lazily (:meth:`_ensure_product_lists`) — the
-        refinement loop refreshes the cache every ``all_gains`` call and
-        would otherwise pay a useless array→list conversion each time.
-        """
-        self._prod_src = np.concatenate((prod0, prod1))
-        self._prod_lists_fresh = False
-        self._prod_valid = [True] * self.csr.num_nets
+        valid = self._prod_valid
+        node_nets = self.partition.graph.node_nets
+        for v in self._dirty_nodes:
+            for net_id in node_nets(v):
+                valid[net_id] = False
         self._dirty_nodes.clear()
-        self._all_invalid = False
 
-    def _ensure_product_lists(self) -> None:
-        if not self._prod_lists_fresh:
-            E = self.csr.num_nets
-            self._prod0 = self._prod_src[:E].tolist()
-            self._prod1 = self._prod_src[E:].tolist()
-            self._prod_lists_fresh = True
+    # ------------------------------------------------------------------
+    # Vectorized bulk sweeps
+    # ------------------------------------------------------------------
+    def _sweep(self, contributions: bool) -> np.ndarray:
+        """One :func:`prop_products` + :func:`prop_gains` sweep over the
+        whole graph from the engine's probabilities and the partition."""
+        part = self.partition
+        p = np.asarray(self.p, dtype=np.float64)
+        sides = np.asarray(part.sides_view(), dtype=np.intp)
+        locked = (
+            np.asarray(part.locked_view(), dtype=bool)
+            if part.num_locked else None
+        )
+        prop_products(self.csr, p, sides, self._prods, scratch=self._scratch)
+        values, underflows = prop_gains(
+            self.csr, p, sides, locked, self._prods,
+            contributions=contributions, scratch=self._scratch,
+        )
+        self.underflow_recomputes += underflows
+        return values
 
     def all_gains(self) -> List[float]:
         """Vectorized :meth:`ProbabilisticGainEngine.all_gains` (bit-identical)."""
-        part = self.partition
-        num_nodes = part.graph.num_nodes
-        p_arr = np.asarray(self.p, dtype=np.float64)
-        side_arr = np.asarray(part.sides_view(), dtype=np.intp)
-        prod0, prod1, contrib = self._bulk_kernel(p_arr, side_arr)
-        gains = np.bincount(
-            self.csr.nm_owner, weights=contrib, minlength=num_nodes
-        )
-        if part.num_locked:
-            locked_arr = np.asarray(part.locked_view(), dtype=bool)
-            gains[locked_arr] = 0.0
-        self._refresh_product_cache(prod0, prod1)
-        return gains.tolist()
+        return self._sweep(contributions=False).tolist()
 
     # ------------------------------------------------------------------
     # Cached-update strategy (Sec. 3.4, Eqns. 5/6) — incremental engine
@@ -331,15 +456,17 @@ class NumpyGainEngine(ProbabilisticGainEngine):
     def new_contribution_state(self) -> List[float]:
         """Vectorized bootstrap of the flat contribution cache.
 
+        Also (re)fills the per-net product cache, every entry valid.
         Only valid values for *free* nodes are stored (matching the scalar
         backend, which gives locked nodes empty dicts); the pass engine
         calls this before any node is locked.
         """
-        part = self.partition
-        p_arr = np.asarray(self.p, dtype=np.float64)
-        side_arr = np.asarray(part.sides_view(), dtype=np.intp)
-        prod0, prod1, contrib = self._bulk_kernel(p_arr, side_arr)
-        self._refresh_product_cache(prod0, prod1)
+        contrib = self._sweep(contributions=True)
+        E = self.csr.num_nets
+        self._prod0 = self._prods[:E].tolist()
+        self._prod1 = self._prods[E:].tolist()
+        self._prod_valid = [True] * E
+        self._dirty_nodes.clear()
         return contrib.tolist()
 
     def contribution_move_deltas(
@@ -362,7 +489,6 @@ class NumpyGainEngine(ProbabilisticGainEngine):
         net_costs = graph.net_costs
         net_offset = self.csr.net_offset_list
         nodepin = self.csr.netpin_to_nodepin_list
-        self._ensure_product_lists()
         self._flush_invalidations()
         valid = self._prod_valid
         prod0 = self._prod0
@@ -442,12 +568,14 @@ class NumpyGainEngine(ProbabilisticGainEngine):
     # Audit hook
     # ------------------------------------------------------------------
     def product_cache_snapshot(self) -> Iterator[Tuple[int, float, float]]:
-        """Yield ``(net_id, prod0, prod1)`` for every *valid* cache entry.
+        """Yield ``(net_id, prod0, prod1)`` for every *valid* cache entry
+        (none before the cache exists).
 
         :meth:`repro.audit.PassAuditor.check_prop_kernel` recomputes each
         yielded product sequentially and demands exact equality.
         """
-        self._ensure_product_lists()
+        if self._prod_valid is None:
+            return
         self._flush_invalidations()
         prod0 = self._prod0
         prod1 = self._prod1
@@ -457,34 +585,8 @@ class NumpyGainEngine(ProbabilisticGainEngine):
 
 
 # ----------------------------------------------------------------------
-# Baseline (FM / LA) initial-gain kernels
+# LA-k pass-start gain vectors
 # ----------------------------------------------------------------------
-def fm_initial_gains(csr: CsrView, partition: Partition) -> List[float]:
-    """Vectorized FM Eqn. (1) gains for every node, bit-identical to
-    calling ``partition.immediate_gain(v)`` for each node in turn.
-
-    ``bincount`` sums the per-incidence terms in node-major order — the
-    same order and the same ``±cost`` values as the scalar loop; masked
-    terms add an exact ``+0.0``.
-    """
-    own = csr.nm_owner
-    net = csr.nm_net
-    side_arr = np.asarray(partition.sides_view(), dtype=np.intp)
-    counts0 = np.asarray(partition.counts_view(0), dtype=np.int64)
-    counts1 = np.asarray(partition.counts_view(1), dtype=np.int64)
-    is0 = side_arr[own] == 0
-    mine = np.where(is0, counts0[net], counts1[net])
-    theirs = np.where(is0, counts1[net], counts0[net])
-    cost = csr.net_cost[net]
-    term = np.where(
-        theirs == 0,
-        np.where(mine > 1, -cost, 0.0),
-        np.where(mine == 1, cost, 0.0),
-    )
-    gains = np.bincount(own, weights=term, minlength=csr.num_nodes)
-    return gains.tolist()
-
-
 def la_initial_vectors(
     csr: CsrView, partition: Partition, k: int
 ) -> List[Tuple[float, ...]]:

@@ -9,8 +9,11 @@ kernel restructures a pass along the synchronous sub-round scheme of
 *Deterministic Parallel Hypergraph Partitioning* (Gottesbüren et al.):
 
 1. **gains** — all node gains are computed vectorized on the
-   :class:`~repro.kernels.csr.CsrView` (probabilistic Eqns. 3/4 for
-   PROP, Eqn. 1 for FM);
+   :class:`~repro.kernels.csr.CsrView` by the one kernel per gain
+   equation in :mod:`repro.kernels.numpy_backend` (probabilistic
+   Eqns. 3/4 for PROP, Eqn. 1 for FM — the kernels the numpy backend
+   uses too), and between sub-rounds only for the nodes a batch
+   touched;
 2. **select** — a batch of best-gain, balance-feasible, **net-disjoint**
    moves is chosen by one deterministic greedy sweep over the candidates
    in ``(-gain, tie_key(seed, node))`` order;
@@ -23,14 +26,16 @@ kernel restructures a pass along the synchronous sub-round scheme of
 
 **Determinism contract.**  Results are a pure function of
 ``(graph, initial sides, config, seed)`` — *never* of the worker count.
-Every kernel here computes per-net products and per-node gains strictly
-within range chunks (a net's product never crosses a chunk boundary, a
-node's gain sum never crosses one either), so any chunking — one inline
-sweep, or N workers over ``multiprocessing.shared_memory`` (see
-:mod:`repro.engine.shm`) — produces bit-identical floats.  Tie-breaking
-is keyed on a seeded splitmix64 hash of the node id, computed once by
-the coordinator.  The worker-count-invariance matrix in
-``tests/kernels/test_subround_determinism.py`` enforces this.
+The gain kernels compute each net's product and each node's gain sum
+entirely from that net's or node's own CSR segment (a net's product
+never crosses a chunk boundary, a node's gain sum never crosses one
+either, and the exact-recompute fallback visits incidences in node-major
+order), so any chunking — one inline sweep, a subset of touched nodes,
+or N workers over ``multiprocessing.shared_memory`` each taking one
+contiguous slice (see :mod:`repro.engine.shm`) — produces bit-identical
+floats.  Tie-breaking is keyed on a seeded splitmix64 hash of the node
+id, computed once by the coordinator.  The worker-count-invariance
+matrix in ``tests/kernels/test_subround_determinism.py`` enforces this.
 
 **Audit contract.**  Each batch is net-disjoint and sequentially
 balance-feasible in journal order, so replaying it one node at a time
@@ -55,23 +60,21 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.gains import DIV_SAFE_MIN
 from ..datastructures import PassJournal
 from ..partition import BalanceConstraint, Partition
 from .csr import CsrView
+from .numpy_backend import (
+    KernelScratch,
+    fm_gains,
+    gather_segments,
+    prop_gains,
+    prop_products,
+)
 
 __all__ = [
     "DEFAULT_BATCH_FRACTION",
     "SubroundFMEngine",
     "SubroundPropEngine",
-    "batch_immediate_gains",
-    "fm_gains_range",
-    "fm_gains_subset",
-    "gather_segments",
-    "prop_gains_range",
-    "prop_gains_subset",
-    "prop_products_range",
-    "prop_products_subset",
     "select_batch",
     "tie_break_keys",
     "vectorized_probability_map",
@@ -101,318 +104,6 @@ def tie_break_keys(num_nodes: int, seed: int) -> np.ndarray:
         z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
         return z ^ (z >> np.uint64(31))
-
-
-# ----------------------------------------------------------------------
-# Range kernels — pure functions over plain arrays, shared by the inline
-# path and the shared-memory workers (repro.engine.shm).  Every output
-# element is computed entirely within its chunk, which is what makes the
-# results invariant under chunking (= worker count).
-# ----------------------------------------------------------------------
-def prop_products_range(
-    elo: int,
-    ehi: int,
-    p: np.ndarray,
-    sides: np.ndarray,
-    pin_node: np.ndarray,
-    pin_net: np.ndarray,
-    net_offset: np.ndarray,
-    net_size: np.ndarray,
-    prod0_out: np.ndarray,
-    prod1_out: np.ndarray,
-    count1_out: np.ndarray,
-) -> None:
-    """Per-net side clearing-products and side-1 pin counts for nets
-    ``[elo, ehi)``, written into the output arrays' matching slices.
-
-    ``np.multiply.at`` applies factors sequentially in pin order (the
-    property the numpy backend's bit-identity rests on), and each net's
-    pins lie wholly inside the chunk's pin slice, so the products are
-    independent of how nets are split across chunks.
-    """
-    j0 = int(net_offset[elo])
-    j1 = int(net_offset[ehi])
-    pn = pin_node[j0:j1]
-    ps = sides[pn]
-    pp = p[pn]
-    f0 = np.where(ps == 0, pp, 1.0)
-    f1 = np.where(ps == 1, pp, 1.0)
-    idx = pin_net[j0:j1] - elo
-    width = ehi - elo
-    prod0 = np.ones(width, dtype=np.float64)
-    prod1 = np.ones(width, dtype=np.float64)
-    np.multiply.at(prod0, idx, f0)
-    np.multiply.at(prod1, idx, f1)
-    prod0_out[elo:ehi] = prod0
-    prod1_out[elo:ehi] = prod1
-    count1_out[elo:ehi] = np.bincount(
-        idx, weights=ps.astype(np.float64), minlength=width
-    )
-
-
-def prop_gains_range(
-    vlo: int,
-    vhi: int,
-    p: np.ndarray,
-    sides: np.ndarray,
-    locked: np.ndarray,
-    prod0: np.ndarray,
-    prod1: np.ndarray,
-    count1: np.ndarray,
-    net_size: np.ndarray,
-    nm_net: np.ndarray,
-    nm_owner: np.ndarray,
-    nm_cost: np.ndarray,
-    node_offset: np.ndarray,
-    pin_node: np.ndarray,
-    net_offset: np.ndarray,
-    gains_out: np.ndarray,
-) -> int:
-    """Probabilistic gains (Eqns. 3/4) for nodes ``[vlo, vhi)``.
-
-    Writes into ``gains_out[vlo:vhi]`` and returns the number of
-    underflow recomputes (side product below :data:`DIV_SAFE_MIN`) —
-    a deterministic count, identical under any chunking.  Locked nodes
-    get a garbage (finite) value; callers must mask them.
-    """
-    a = int(node_offset[vlo])
-    b = int(node_offset[vhi])
-    own = nm_owner[a:b]
-    net = nm_net[a:b]
-    s = sides[own].astype(np.intp)
-    pm = np.where(s == 0, prod0[net], prod1[net])
-    po = np.where(s == 0, prod1[net], prod0[net])
-    oc = np.where(s == 0, count1[net], net_size[net] - count1[net])
-    pu = p[own]
-    ok = (pu > 0.0) & (pm >= DIV_SAFE_MIN)
-    prod_a = np.zeros(b - a, dtype=np.float64)
-    np.divide(pm, pu, out=prod_a, where=ok)
-    underflows = 0
-    if not ok.all():
-        for i in np.nonzero(~ok & ~locked[own])[0]:
-            pm_i = float(pm[i])
-            if 0.0 < pm_i < DIV_SAFE_MIN:
-                underflows += 1
-            # Exact recompute of the clearing product excluding the
-            # owner — same pin order and early-zero exit as the scalar
-            # net_clearing_probability.
-            e = int(net[i])
-            sv = int(s[i])
-            ex = int(own[i])
-            prod = 1.0
-            for v in pin_node[int(net_offset[e]):int(net_offset[e + 1])]:
-                v = int(v)
-                if v != ex and sides[v] == sv:
-                    prod *= p[v]
-                    if prod == 0.0:
-                        break
-            prod_a[i] = prod
-    ot = np.where(oc > 0.0, po, 1.0)
-    contrib = nm_cost[a:b] * (prod_a - ot)
-    gains_out[vlo:vhi] = np.bincount(
-        own - vlo, weights=contrib, minlength=vhi - vlo
-    )
-    return underflows
-
-
-def fm_gains_range(
-    vlo: int,
-    vhi: int,
-    sides: np.ndarray,
-    counts0: np.ndarray,
-    counts1: np.ndarray,
-    nm_net: np.ndarray,
-    nm_owner: np.ndarray,
-    nm_cost: np.ndarray,
-    node_offset: np.ndarray,
-    gains_out: np.ndarray,
-) -> int:
-    """FM Eqn. (1) immediate gains for nodes ``[vlo, vhi)``.
-
-    Returns 0 (signature-compatible with the PROP gains kernel so the
-    shared-memory workers can dispatch either).
-    """
-    a = int(node_offset[vlo])
-    b = int(node_offset[vhi])
-    own = nm_owner[a:b]
-    net = nm_net[a:b]
-    is0 = sides[own] == 0
-    mine = np.where(is0, counts0[net], counts1[net])
-    theirs = np.where(is0, counts1[net], counts0[net])
-    cost = nm_cost[a:b]
-    term = np.where(
-        theirs == 0,
-        np.where(mine > 1, -cost, 0.0),
-        np.where(mine == 1, cost, 0.0),
-    )
-    gains_out[vlo:vhi] = np.bincount(
-        own - vlo, weights=term, minlength=vhi - vlo
-    )
-    return 0
-
-
-def gather_segments(
-    ids: np.ndarray, offsets: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Flattened CSR indices for the segments ``ids``, in segment order.
-
-    Returns ``(j, slot)``: ``j`` indexes the CSR value arrays so that
-    segment ``ids[k]``'s elements appear contiguously and in their
-    original CSR order, and ``slot[i] == k`` names the (compact) segment
-    each flattened element belongs to.  This is what lets the subset
-    kernels below accumulate per-segment results with ``np.multiply.at``
-    / ``np.bincount`` in exactly the element order the full-range
-    kernels use — the property their bit-identity rests on.
-    """
-    ids = np.asarray(ids, dtype=np.intp)
-    starts = offsets[ids]
-    sizes = offsets[ids + 1] - starts
-    total = int(sizes.sum())
-    slot = np.repeat(np.arange(ids.size, dtype=np.intp), sizes)
-    prev = np.cumsum(sizes) - sizes
-    j = (
-        np.arange(total, dtype=np.intp)
-        + np.repeat(starts - prev, sizes)
-    )
-    return j, slot
-
-
-def fm_gains_subset(
-    nodes: np.ndarray,
-    sides: np.ndarray,
-    counts0: np.ndarray,
-    counts1: np.ndarray,
-    nm_net: np.ndarray,
-    nm_owner: np.ndarray,
-    nm_cost: np.ndarray,
-    node_offset: np.ndarray,
-    gains_out: np.ndarray,
-) -> int:
-    """FM Eqn. (1) immediate gains for an arbitrary node subset.
-
-    The subset analogue of :func:`fm_gains_range`: per-node terms are
-    accumulated in the same CSR pin order via the compact ``slot``
-    labels, so ``gains_out[v]`` for ``v`` in ``nodes`` is bit-identical
-    to a full recompute.  Returns 0 (matching the range kernel).
-    """
-    if len(nodes) == 0:
-        return 0
-    j, slot = gather_segments(nodes, node_offset)
-    own = nm_owner[j]
-    net = nm_net[j]
-    is0 = sides[own] == 0
-    mine = np.where(is0, counts0[net], counts1[net])
-    theirs = np.where(is0, counts1[net], counts0[net])
-    cost = nm_cost[j]
-    term = np.where(
-        theirs == 0,
-        np.where(mine > 1, -cost, 0.0),
-        np.where(mine == 1, cost, 0.0),
-    )
-    gains_out[nodes] = np.bincount(
-        slot, weights=term, minlength=len(nodes)
-    )
-    return 0
-
-
-def prop_products_subset(
-    nets: np.ndarray,
-    p: np.ndarray,
-    sides: np.ndarray,
-    pin_node: np.ndarray,
-    net_offset: np.ndarray,
-    prod0_out: np.ndarray,
-    prod1_out: np.ndarray,
-    count1_out: np.ndarray,
-) -> None:
-    """Per-net side clearing-products for an arbitrary net subset.
-
-    Writes the same values :func:`prop_products_range` would write for
-    those nets, bit for bit: each net's factors are multiplied in CSR
-    pin order into its own compact slot, so the subset shape cannot
-    change any product.
-    """
-    if len(nets) == 0:
-        return
-    j, slot = gather_segments(nets, net_offset)
-    pn = pin_node[j]
-    ps = sides[pn]
-    pp = p[pn]
-    f0 = np.where(ps == 0, pp, 1.0)
-    f1 = np.where(ps == 1, pp, 1.0)
-    width = len(nets)
-    prod0 = np.ones(width, dtype=np.float64)
-    prod1 = np.ones(width, dtype=np.float64)
-    np.multiply.at(prod0, slot, f0)
-    np.multiply.at(prod1, slot, f1)
-    prod0_out[nets] = prod0
-    prod1_out[nets] = prod1
-    count1_out[nets] = np.bincount(
-        slot, weights=ps.astype(np.float64), minlength=width
-    )
-
-
-def prop_gains_subset(
-    nodes: np.ndarray,
-    p: np.ndarray,
-    sides: np.ndarray,
-    locked: np.ndarray,
-    prod0: np.ndarray,
-    prod1: np.ndarray,
-    count1: np.ndarray,
-    net_size: np.ndarray,
-    nm_net: np.ndarray,
-    nm_owner: np.ndarray,
-    nm_cost: np.ndarray,
-    node_offset: np.ndarray,
-    pin_node: np.ndarray,
-    net_offset: np.ndarray,
-    gains_out: np.ndarray,
-) -> int:
-    """Probabilistic gains (Eqns. 3/4) for an arbitrary node subset.
-
-    The subset analogue of :func:`prop_gains_range` — identical pin
-    factors, identical underflow handling, per-node sums accumulated in
-    the same pin order — so ``gains_out[v]`` for ``v`` in ``nodes`` is
-    bit-identical to a full recompute.  Returns the underflow-recompute
-    count for these nodes.
-    """
-    if len(nodes) == 0:
-        return 0
-    j, slot = gather_segments(nodes, node_offset)
-    own = nm_owner[j]
-    net = nm_net[j]
-    s = sides[own].astype(np.intp)
-    pm = np.where(s == 0, prod0[net], prod1[net])
-    po = np.where(s == 0, prod1[net], prod0[net])
-    oc = np.where(s == 0, count1[net], net_size[net] - count1[net])
-    pu = p[own]
-    ok = (pu > 0.0) & (pm >= DIV_SAFE_MIN)
-    prod_a = np.zeros(j.size, dtype=np.float64)
-    np.divide(pm, pu, out=prod_a, where=ok)
-    underflows = 0
-    if not ok.all():
-        for i in np.nonzero(~ok & ~locked[own])[0]:
-            pm_i = float(pm[i])
-            if 0.0 < pm_i < DIV_SAFE_MIN:
-                underflows += 1
-            e = int(net[i])
-            sv = int(s[i])
-            ex = int(own[i])
-            prod = 1.0
-            for v in pin_node[int(net_offset[e]):int(net_offset[e + 1])]:
-                v = int(v)
-                if v != ex and sides[v] == sv:
-                    prod *= p[v]
-                    if prod == 0.0:
-                        break
-            prod_a[i] = prod
-    ot = np.where(oc > 0.0, po, 1.0)
-    contrib = nm_cost[j] * (prod_a - ot)
-    gains_out[nodes] = np.bincount(
-        slot, weights=contrib, minlength=len(nodes)
-    )
-    return underflows
 
 
 def split_ranges(total: int, parts: int) -> List[Tuple[int, int]]:
@@ -533,46 +224,6 @@ def select_batch(
     return batch, conflicts, balance_rejects
 
 
-def batch_immediate_gains(
-    batch: Sequence[int],
-    csr: CsrView,
-    sides: Sequence[int],
-    counts0: np.ndarray,
-    counts1: np.ndarray,
-) -> np.ndarray:
-    """Pre-move FM immediate gains for a net-disjoint batch, vectorized.
-
-    Because the batch is net-disjoint, no batch move changes another
-    batch node's nets — so these pre-batch values equal what a
-    sequential one-at-a-time application would realize move by move,
-    bit for bit (the per-node ``±cost`` additions run in the same
-    node-major net order as :meth:`Partition.move`, via the sequential
-    accumulation of ``np.bincount``).
-    """
-    node_offset = csr.node_offset_list
-    starts = [node_offset[v] for v in batch]
-    ends = [node_offset[v + 1] for v in batch]
-    lens = np.asarray(ends, dtype=np.intp) - np.asarray(starts, dtype=np.intp)
-    inc = np.concatenate(
-        [np.arange(s, e, dtype=np.intp) for s, e in zip(starts, ends)]
-    ) if batch else np.empty(0, dtype=np.intp)
-    pos = np.repeat(np.arange(len(batch), dtype=np.intp), lens)
-    net = csr.nm_net[inc]
-    cost = csr.nm_cost[inc]
-    s = np.repeat(
-        np.asarray([sides[v] for v in batch], dtype=np.intp), lens
-    )
-    is0 = s == 0
-    mine = np.where(is0, counts0[net], counts1[net])
-    theirs = np.where(is0, counts1[net], counts0[net])
-    term = np.where(
-        theirs == 0,
-        np.where(mine > 1, -cost, 0.0),
-        np.where(mine == 1, cost, 0.0),
-    )
-    return np.bincount(pos, weights=term, minlength=len(batch))
-
-
 # ----------------------------------------------------------------------
 # Pass engines
 # ----------------------------------------------------------------------
@@ -619,9 +270,6 @@ class _SubroundEngineBase:
         E = self.csr.num_nets
         n = self.csr.num_nodes
         self._claimed = np.zeros(E, dtype=bool)
-        self._prod0 = np.empty(E, dtype=np.float64)
-        self._prod1 = np.empty(E, dtype=np.float64)
-        self._count1 = np.empty(E, dtype=np.float64)
         self._gains = np.zeros(n, dtype=np.float64)
         self._sides = np.empty(n, dtype=np.int8)
         self._locked = np.empty(n, dtype=bool)
@@ -725,10 +373,14 @@ class _SubroundEngineBase:
                 counters.subround_conflicts += conflicts
                 counters.subround_balance_rejects += brejects
 
+            # Pre-move Eqn. (1) gains of the batch.  Net-disjointness
+            # means no batch move changes another's nets, so these equal
+            # what a one-at-a-time replay realizes move by move.
             counts0 = np.asarray(part.counts_view(0), dtype=np.int64)
             counts1 = np.asarray(part.counts_view(1), dtype=np.int64)
-            imm = batch_immediate_gains(
-                batch, self.csr, part.sides_view(), counts0, counts1
+            imm = fm_gains(
+                self.csr, self._sides, counts0, counts1,
+                np.asarray(batch, dtype=np.intp),
             ).tolist()
             pre_sides = part.sides if auditor is not None else None
             from_sides = [part.side(v) for v in batch]
@@ -814,6 +466,9 @@ class SubroundPropEngine(_SubroundEngineBase):
         self.config = config
         self.prob_map = vectorized_probability_map(config)
         self.p = np.zeros(partition.graph.num_nodes, dtype=np.float64)
+        # Side-major per-net products (prop_products).
+        self._prods = np.empty(2 * self.csr.num_nets, dtype=np.float64)
+        self._scratch = KernelScratch()
         self._last_batch: Optional[np.ndarray] = None
 
     # -- gains --------------------------------------------------------
@@ -822,25 +477,21 @@ class SubroundPropEngine(_SubroundEngineBase):
         if pool is not None:
             try:
                 underflows = pool.prop_gains(
-                    self.p, self._sides, self._locked,
-                    self._prod0, self._prod1, self._count1, self._gains,
+                    self.p, self._sides, self._locked, self._prods,
+                    self._gains,
                 )
                 self.underflow_recomputes += underflows
                 return self._gains
             except Exception:
                 self._pool_failed()
-        csr = self.csr
-        prop_products_range(
-            0, csr.num_nets, self.p, self._sides,
-            csr.pin_node, csr.pin_net, csr.net_offset, csr.net_size,
-            self._prod0, self._prod1, self._count1,
+        prop_products(
+            self.csr, self.p, self._sides, self._prods, scratch=self._scratch
         )
-        self.underflow_recomputes += prop_gains_range(
-            0, csr.num_nodes, self.p, self._sides, self._locked,
-            self._prod0, self._prod1, self._count1, csr.net_size,
-            csr.nm_net, csr.nm_owner, csr.nm_cost, csr.node_offset,
-            csr.pin_node, csr.net_offset, self._gains,
+        self._gains[:], underflows = prop_gains(
+            self.csr, self.p, self._sides, self._locked, self._prods,
+            scratch=self._scratch,
         )
+        self.underflow_recomputes += underflows
         return self._gains
 
     def _set_free_probabilities(self, values: np.ndarray) -> None:
@@ -871,16 +522,12 @@ class SubroundPropEngine(_SubroundEngineBase):
                 np.full(self.p.shape, config.pinit)
             )
             return
-        csr = self.csr
         part = self.partition
         counts0 = np.asarray(part.counts_view(0), dtype=np.int64)
         counts1 = np.asarray(part.counts_view(1), dtype=np.int64)
-        fm_gains_range(
-            0, csr.num_nodes, self._sides, counts0, counts1,
-            csr.nm_net, csr.nm_owner, csr.nm_cost, csr.node_offset,
-            self._gains,
+        self._set_free_probabilities(
+            self.prob_map(fm_gains(self.csr, self._sides, counts0, counts1))
         )
-        self._set_free_probabilities(self.prob_map(self._gains))
 
     def _refine(self) -> np.ndarray:
         gains = self._compute_gains()
@@ -909,9 +556,8 @@ class SubroundPropEngine(_SubroundEngineBase):
             changed = batch
         cj, _ = gather_segments(changed, csr.node_offset)
         nets = np.unique(csr.nm_net[cj])
-        prop_products_subset(
-            nets, self.p, self._sides, csr.pin_node, csr.net_offset,
-            self._prod0, self._prod1, self._count1,
+        prop_products(
+            csr, self.p, self._sides, self._prods, nets, self._scratch
         )
         uj, _ = gather_segments(nets, csr.net_offset)
         touched = np.unique(csr.pin_node[uj])
@@ -919,12 +565,11 @@ class SubroundPropEngine(_SubroundEngineBase):
             # Everything is affected anyway: take the full sweep, which
             # the worker pool parallelizes.  Same values either way.
             return self._compute_gains().copy()
-        self.underflow_recomputes += prop_gains_subset(
-            touched, self.p, self._sides, self._locked,
-            self._prod0, self._prod1, self._count1, csr.net_size,
-            csr.nm_net, csr.nm_owner, csr.nm_cost, csr.node_offset,
-            csr.pin_node, csr.net_offset, self._gains,
+        self._gains[touched], underflows = prop_gains(
+            csr, self.p, self._sides, self._locked, self._prods, touched,
+            scratch=self._scratch,
         )
+        self.underflow_recomputes += underflows
         return self._gains.copy()
 
     def _on_batch_applied(self, batch: Sequence[int]) -> None:
@@ -940,10 +585,11 @@ class SubroundFMEngine(_SubroundEngineBase):
     Selection gains are the exact Eqn. (1) immediate gains; batches are
     net-disjoint so applied gains equal selection gains.  Between
     sub-rounds only the pins of nets attached to the applied batch are
-    recomputed (:func:`fm_gains_subset`) — a batch changes pin counts
-    only on its own nets and sides only on its own nodes, so every
-    other node's Eqn. (1) sum is mathematically unchanged and the
-    subset update is exact, not approximate.
+    recomputed (:func:`~repro.kernels.numpy_backend.fm_gains` over the
+    touched nodes) — a batch changes pin counts only on its own nets and
+    sides only on its own nodes, so every other node's Eqn. (1) sum is
+    mathematically unchanged and the subset update is exact, not
+    approximate.
     """
 
     algorithm = "FM"
@@ -974,12 +620,7 @@ class SubroundFMEngine(_SubroundEngineBase):
                 return self._gains
             except Exception:
                 self._pool_failed()
-        csr = self.csr
-        fm_gains_range(
-            0, csr.num_nodes, self._sides, counts0, counts1,
-            csr.nm_net, csr.nm_owner, csr.nm_cost, csr.node_offset,
-            self._gains,
-        )
+        self._gains[:] = fm_gains(self.csr, self._sides, counts0, counts1)
         return self._gains
 
     def _start_pass(self, phase: dict) -> np.ndarray:
@@ -1006,10 +647,8 @@ class SubroundFMEngine(_SubroundEngineBase):
         part = self.partition
         counts0 = np.asarray(part.counts_view(0), dtype=np.int64)
         counts1 = np.asarray(part.counts_view(1), dtype=np.int64)
-        fm_gains_subset(
-            touched, self._sides, counts0, counts1,
-            csr.nm_net, csr.nm_owner, csr.nm_cost, csr.node_offset,
-            self._gains,
+        self._gains[touched] = fm_gains(
+            csr, self._sides, counts0, counts1, touched
         )
         return self._gains.copy()
 

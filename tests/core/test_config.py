@@ -77,11 +77,6 @@ class TestOverrides:
         with pytest.raises(ValueError):
             PropConfig().with_overrides(pmin=0.0)
 
-    def test_describe_is_flat(self):
-        d = PropConfig().describe()
-        assert d["pinit"] == 0.95
-        assert set(d) >= {"pmax", "pmin", "gup", "glo", "init_method"}
-
     def test_frozen(self):
         with pytest.raises(Exception):
             PropConfig().pinit = 0.5  # type: ignore[misc]

@@ -28,9 +28,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="update_strategy"):
             PropConfig(update_strategy="psychic")
 
-    def test_describe_includes_strategy(self):
-        assert PropConfig().describe()["update_strategy"] == "recompute"
-
 
 class TestContributionPrimitives:
     @pytest.fixture

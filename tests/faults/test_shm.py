@@ -129,8 +129,7 @@ class TestSigterm:
             with pytest.raises(PoolError):
                 pool.prop_gains(
                     np.full(n, 0.5), np.zeros(n, dtype=np.int8),
-                    np.zeros(n, dtype=bool),
-                    np.empty(e), np.empty(e), np.empty(e), np.empty(n),
+                    np.zeros(n, dtype=bool), np.empty(2 * e), np.empty(n),
                 )
         finally:
             pool.close()

@@ -19,7 +19,7 @@ from repro.hypergraph import Hypergraph
 from repro.kernels import make_gain_engine, resolve_kernel
 from repro.kernels.numpy_backend import (
     NumpyGainEngine,
-    fm_initial_gains,
+    fm_gains,
     la_initial_vectors,
 )
 from repro.partition import BalanceConstraint, Partition, random_balanced_sides
@@ -27,9 +27,15 @@ from repro.testing import random_instance, weighted_instance
 from repro.testing import strategies as st_repro
 
 
-def _engine_pair(graph, sides, probabilities):
-    scalar = ProbabilisticGainEngine(Partition(graph, list(sides)), probabilities)
-    vector = NumpyGainEngine(Partition(graph, list(sides)), probabilities)
+def _engine_pair(graph, sides, probabilities, locked=()):
+    def partition():
+        part = Partition(graph, list(sides))
+        for v in locked:
+            part.lock(v)
+        return part
+
+    scalar = ProbabilisticGainEngine(partition(), probabilities)
+    vector = NumpyGainEngine(partition(), probabilities)
     return scalar, vector
 
 
@@ -41,11 +47,20 @@ def _parity_cases(draw):
     return graph, sides, probs
 
 
+@st.composite
+def _locked_parity_cases(draw):
+    """A parity case plus a set of locked nodes (their p becomes 0), as
+    in the sub-round sweeps late in a pass."""
+    graph, sides, probs = draw(_parity_cases())
+    locked = draw(st.sets(st.integers(0, graph.num_nodes - 1)))
+    return graph, sides, probs, sorted(locked)
+
+
 @settings(max_examples=60, deadline=None)
-@given(_parity_cases())
+@given(_locked_parity_cases())
 def test_all_gains_bit_identical(case):
-    graph, sides, probs = case
-    scalar, vector = _engine_pair(graph, sides, probs)
+    graph, sides, probs, locked = case
+    scalar, vector = _engine_pair(graph, sides, probs, locked)
     sg = scalar.all_gains()
     vg = vector.all_gains()
     assert sg == vg
@@ -162,7 +177,12 @@ class TestInitialGainKernels:
         partition = Partition(graph, random_balanced_sides(graph, seed))
         from repro.kernels.csr import CsrView
 
-        gains = fm_initial_gains(CsrView(graph), partition)
+        gains = fm_gains(
+            CsrView(graph),
+            np.asarray(partition.sides_view()),
+            np.asarray(partition.counts_view(0)),
+            np.asarray(partition.counts_view(1)),
+        ).tolist()
         assert gains == [
             partition.immediate_gain(v) for v in range(graph.num_nodes)
         ]
@@ -256,6 +276,23 @@ class TestIncrementalCache:
         for net_id in graph.node_nets(touched):
             assert net_id not in valid_nets
 
+    def test_no_cache_work_without_contribution_state(self):
+        """Only the cached strategy reads the product cache, so until
+        ``new_contribution_state`` creates it, sweeps fill no cache and
+        probability writes and locks queue no invalidations."""
+        graph = weighted_instance(7, max_nodes=16)
+        sides = random_balanced_sides(graph, 7)
+        vector = NumpyGainEngine(
+            Partition(graph, list(sides)), [0.5] * graph.num_nodes
+        )
+        vector.all_gains()
+        vector.set_probability(1, 0.25)
+        vector.partition.move_and_lock(0)
+        vector.on_lock(0)
+        vector.all_gains()
+        assert vector._dirty_nodes == []
+        assert list(vector.product_cache_snapshot()) == []
+
 
 class TestResolution:
     def test_explicit_names_pass_through(self):
@@ -322,11 +359,6 @@ class TestFingerprintNeutrality:
         }
         assert len(fm) == 1
         assert len(la) == 1
-
-    def test_kernel_field_still_in_describe(self):
-        from repro.core import PropConfig
-
-        assert PropConfig(kernel="python").describe()["kernel"] == "python"
 
 
 class TestAutoCutoff:

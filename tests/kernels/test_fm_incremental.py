@@ -1,14 +1,14 @@
 """Bitwise equivalence of the incremental FM sub-round gain updates.
 
 The FM engine now recomputes only the pins of nets attached to the
-applied batch between sub-rounds (:func:`fm_gains_subset`) instead of a
-full Eqn. (1) sweep.  The update is exact — a batch changes pin counts
-only on its own nets and sides only on its own nodes — but only while
-the subset kernel accumulates per-node terms in the same CSR pin order
-as the full-range kernel.  These tests are that fence, at both the
-kernel level (subset vs range on arbitrary node sets) and the engine
-level (full runs with incremental vs forced-full updates must produce
-byte-identical move sequences).
+applied batch between sub-rounds (:func:`fm_gains` over the touched
+nodes) instead of a full Eqn. (1) sweep.  The update is exact — a batch
+changes pin counts only on its own nets and sides only on its own nodes
+— but only while the kernel accumulates a subset's per-node terms in the
+same CSR pin order as the whole sweep.  These tests are that fence, at
+both the kernel level (subset vs whole sweep on arbitrary node sets) and
+the engine level (full runs with incremental vs forced-full updates must
+produce byte-identical move sequences).
 """
 
 import random
@@ -19,11 +19,8 @@ import pytest
 from repro.baselines.fm import run_fm
 from repro.kernels.csr import CsrView
 from repro.kernels import subround as subround_mod
-from repro.kernels.subround import (
-    SubroundFMEngine,
-    fm_gains_range,
-    fm_gains_subset,
-)
+from repro.kernels.numpy_backend import fm_gains
+from repro.kernels.subround import SubroundFMEngine
 from repro.partition import (
     BalanceConstraint,
     Partition,
@@ -50,37 +47,24 @@ def _arrays(name, seed):
 def test_fm_gains_subset_matches_range(circuit):
     graph, csr, sides, counts0, counts1 = _arrays(circuit, CORPUS_SEED)
     n = csr.num_nodes
-    full = np.empty(n, dtype=np.float64)
-    fm_gains_range(
-        0, n, sides, counts0, counts1,
-        csr.nm_net, csr.nm_owner, csr.nm_cost, csr.node_offset, full,
-    )
+    full = fm_gains(csr, sides, counts0, counts1)
+    assert full.shape == (n,)
     rng = random.Random(CORPUS_SEED)
     for size in (1, 2, n // 3 or 1, n):
         nodes = np.asarray(
             sorted(rng.sample(range(n), size)), dtype=np.intp
         )
-        out = np.full(n, np.nan)
-        ret = fm_gains_subset(
-            nodes, sides, counts0, counts1,
-            csr.nm_net, csr.nm_owner, csr.nm_cost, csr.node_offset, out,
-        )
-        assert ret == 0
+        out = fm_gains(csr, sides, counts0, counts1, nodes)
         # Bitwise, not approximate: same terms summed in the same order.
-        assert np.array_equal(out[nodes], full[nodes])
-        untouched = np.setdiff1d(np.arange(n), nodes)
-        assert np.all(np.isnan(out[untouched]))
+        assert np.array_equal(out, full[nodes])
 
 
 def test_fm_gains_subset_empty_is_noop():
     _, csr, sides, counts0, counts1 = _arrays("hier150", CORPUS_SEED)
-    out = np.full(csr.num_nodes, 7.0)
-    ret = fm_gains_subset(
-        np.empty(0, dtype=np.intp), sides, counts0, counts1,
-        csr.nm_net, csr.nm_owner, csr.nm_cost, csr.node_offset, out,
+    out = fm_gains(
+        csr, sides, counts0, counts1, np.empty(0, dtype=np.intp)
     )
-    assert ret == 0
-    assert np.all(out == 7.0)
+    assert out.shape == (0,)
 
 
 class _FullRecomputeFMEngine(SubroundFMEngine):

@@ -6,10 +6,11 @@ machinery over hypothesis-generated instances:
 
 1. :func:`select_batch` only ever returns net-disjoint batches whose
    one-at-a-time replay stays balance-feasible at every step.
-2. :func:`batch_immediate_gains` equals the scalar
-   ``Partition.immediate_gain`` evaluated move-by-move during a replay —
-   exactly, not approximately, because net-disjointness means no move in
-   the batch can perturb another's nets.
+2. the Eqn. (1) kernel :func:`~repro.kernels.numpy_backend.fm_gains`
+   over a batch equals the scalar ``Partition.immediate_gain`` evaluated
+   move-by-move during a replay — exactly, not approximately, because
+   net-disjointness means no move in the batch can perturb another's
+   nets.
 3. ``Partition.apply_batch`` leaves the partition in the byte-identical
    state (sides, counts, locks, weights, cut) that a
    ``move_and_lock``-per-node replay produces.
@@ -21,11 +22,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kernels.csr import CsrView
-from repro.kernels.subround import (
-    batch_immediate_gains,
-    select_batch,
-    tie_break_keys,
+from repro.kernels.numpy_backend import (
+    fm_gains,
+    gather_segments,
+    prop_gains,
+    prop_products,
 )
+from repro.kernels.subround import select_batch, split_ranges, tie_break_keys
 from repro.partition import BalanceConstraint, Partition
 from repro.testing import strategies as st_repro
 
@@ -58,6 +61,17 @@ def _run_select(graph, sides, gains, seed, cap):
         part.sides_view(), part.side_weights, balance, claimed, cap,
     )
     return csr, part, balance, batch, conflicts, brejects
+
+
+def _batch_gains(csr, part, batch):
+    """Pre-batch Eqn. (1) gains of ``batch``, in batch order."""
+    return fm_gains(
+        csr,
+        np.asarray(part.sides_view(), dtype=np.int8),
+        np.asarray(part.counts_view(0), dtype=np.int64),
+        np.asarray(part.counts_view(1), dtype=np.int64),
+        np.asarray(batch, dtype=np.intp),
+    )
 
 
 @settings(max_examples=80, deadline=None)
@@ -106,9 +120,7 @@ def test_batch_gains_equal_scalar_replay(case):
     """
     graph, sides, gains, seed, cap = case
     csr, part, _, batch, _, _ = _run_select(graph, sides, gains, seed, cap)
-    counts0 = np.asarray(part.counts_view(0), dtype=np.int64)
-    counts1 = np.asarray(part.counts_view(1), dtype=np.int64)
-    imm = batch_immediate_gains(batch, csr, part.sides_view(), counts0, counts1)
+    imm = _batch_gains(csr, part, batch)
     for j, v in enumerate(batch):
         scalar = part.immediate_gain(v)
         assert imm[j] == scalar
@@ -121,11 +133,7 @@ def test_batch_gains_equal_scalar_replay(case):
 def test_apply_batch_matches_move_and_lock_replay(case):
     graph, sides, gains, seed, cap = case
     csr, part, _, batch, _, _ = _run_select(graph, sides, gains, seed, cap)
-    counts0 = np.asarray(part.counts_view(0), dtype=np.int64)
-    counts1 = np.asarray(part.counts_view(1), dtype=np.int64)
-    imm = batch_immediate_gains(
-        batch, csr, part.sides_view(), counts0, counts1
-    ).tolist()
+    imm = _batch_gains(csr, part, batch).tolist()
 
     batched = Partition(graph, list(sides))
     batched.apply_batch(batch, imm)
@@ -176,6 +184,10 @@ def _subset_cases(draw):
     graph = draw(st_repro.hypergraphs(min_nodes=3, max_nodes=16, costed=True))
     sides = draw(st_repro.balanced_sides_for(graph))
     probs = draw(st_repro.probability_vectors(graph.num_nodes))
+    locked = draw(
+        st.lists(st.booleans(), min_size=graph.num_nodes,
+                 max_size=graph.num_nodes)
+    )
     nets = draw(
         st.lists(
             st.integers(0, graph.num_nets - 1),
@@ -188,71 +200,74 @@ def _subset_cases(draw):
             min_size=0, max_size=graph.num_nodes, unique=True,
         )
     )
-    return graph, sides, probs, sorted(nets), sorted(nodes)
+    chunks = draw(st.integers(1, 5))
+    return graph, sides, probs, locked, sorted(nets), sorted(nodes), chunks
 
 
 @settings(max_examples=80, deadline=None)
 @given(_subset_cases())
 def test_subset_kernels_match_full_range_bitwise(case):
-    """The incremental-update kernels must reproduce the full-range
-    kernels bit for bit on any subset — the exactness the sub-round
-    engine's stale-gain argument rests on."""
-    from repro.kernels.subround import (
-        prop_gains_range,
-        prop_gains_subset,
-        prop_products_range,
-        prop_products_subset,
-    )
-
-    graph, sides, probs, nets, nodes = case
+    """A chunked or subset sweep of the PROP and FM kernels equals the
+    whole sweep bit for bit, underflow count included — the exactness
+    that worker-count invariance and the sub-round engine's incremental
+    updates rest on.  Locked nodes carry ``p = 0``, as in a pass."""
+    graph, sides, probs, locked, nets, nodes, chunks = case
     csr = CsrView(graph)
     n, e = graph.num_nodes, graph.num_nets
-    p = np.asarray(probs, dtype=np.float64)
+    locked = np.asarray(locked, dtype=bool)
+    p = np.where(locked, 0.0, np.asarray(probs, dtype=np.float64))
     sides_arr = np.asarray(sides, dtype=np.int8)
-    locked = np.zeros(n, dtype=bool)
+    part = Partition(graph, list(sides))
+    counts0 = np.asarray(part.counts_view(0), dtype=np.int64)
+    counts1 = np.asarray(part.counts_view(1), dtype=np.int64)
 
-    prod0_f = np.empty(e); prod1_f = np.empty(e); count1_f = np.empty(e)
-    prop_products_range(
-        0, e, p, sides_arr, csr.pin_node, csr.pin_net,
-        csr.net_offset, csr.net_size, prod0_f, prod1_f, count1_f,
-    )
-    gains_f = np.empty(n)
-    under_f = prop_gains_range(
-        0, n, p, sides_arr, locked, prod0_f, prod1_f, count1_f,
-        csr.net_size, csr.nm_net, csr.nm_owner, csr.nm_cost,
-        csr.node_offset, csr.pin_node, csr.net_offset, gains_f,
-    )
+    prods = np.empty(2 * e)
+    prop_products(csr, p, sides_arr, prods)
+    gains, under = prop_gains(csr, p, sides_arr, locked, prods)
+    fm = fm_gains(csr, sides_arr, counts0, counts1)
 
-    prod0_s = np.full(e, np.nan); prod1_s = np.full(e, np.nan)
-    count1_s = np.full(e, np.nan)
-    prop_products_subset(
-        np.asarray(nets, dtype=np.intp), p, sides_arr,
-        csr.pin_node, csr.net_offset, prod0_s, prod1_s, count1_s,
-    )
-    for net in nets:
-        assert prod0_s[net] == prod0_f[net]
-        assert prod1_s[net] == prod1_f[net]
-        assert count1_s[net] == count1_f[net]
+    # Chunked, as the shared-memory workers split the sweep.
+    prods_c = np.full(2 * e, np.nan)
+    for lo, hi in split_ranges(e, chunks):
+        prop_products(csr, p, sides_arr, prods_c, slice(lo, hi))
+    assert np.array_equal(prods_c, prods)
+    gains_c, fm_c, under_c = np.full(n, np.nan), np.full(n, np.nan), 0
+    for lo, hi in split_ranges(n, chunks):
+        gains_c[lo:hi], u = prop_gains(
+            csr, p, sides_arr, locked, prods, slice(lo, hi)
+        )
+        under_c += u
+        fm_c[lo:hi] = fm_gains(
+            csr, sides_arr, counts0, counts1, slice(lo, hi)
+        )
+    assert np.array_equal(gains_c, gains)
+    assert np.array_equal(fm_c, fm)
+    assert under_c == under
 
-    gains_s = np.full(n, np.nan)
-    under_s = prop_gains_subset(
-        np.asarray(nodes, dtype=np.intp), p, sides_arr, locked,
-        prod0_f, prod1_f, count1_f, csr.net_size,
-        csr.nm_net, csr.nm_owner, csr.nm_cost, csr.node_offset,
-        csr.pin_node, csr.net_offset, gains_s,
+    # Subsets, as the sub-round engines update the touched nets/nodes.
+    net_idx = np.asarray(nets, dtype=np.intp)
+    prods_s = np.full(2 * e, np.nan)
+    prop_products(csr, p, sides_arr, prods_s, net_idx)
+    for side in (0, 1):
+        assert np.array_equal(
+            prods_s[side * e + net_idx], prods[side * e + net_idx]
+        )
+    node_idx = np.asarray(nodes, dtype=np.intp)
+    gains_s, under_s = prop_gains(
+        csr, p, sides_arr, locked, prods, node_idx
     )
-    for v in nodes:
-        assert gains_s[v] == gains_f[v]
-    if len(nodes) == graph.num_nodes:
-        assert under_s == under_f
+    assert np.array_equal(gains_s, gains[node_idx])
+    assert np.array_equal(
+        fm_gains(csr, sides_arr, counts0, counts1, node_idx), fm[node_idx]
+    )
+    if len(nodes) == n:
+        assert under_s == under
 
 
 @settings(max_examples=60, deadline=None)
 @given(_subset_cases())
 def test_gather_segments_flattens_in_csr_order(case):
-    from repro.kernels.subround import gather_segments
-
-    graph, _, _, nets, _ = case
+    graph, _, _, _, nets, _, _ = case
     csr = CsrView(graph)
     j, slot = gather_segments(np.asarray(nets, dtype=np.intp), csr.net_offset)
     expected_j = [
