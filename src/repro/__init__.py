@@ -16,7 +16,8 @@ Top-level surface (the most common entry points)::
 Subpackages:
 
 * ``repro.hypergraph``   — netlist data structure, I/O, circuit generators
-* ``repro.datastructures`` — AVL tree, FM gain buckets, pass journal
+* ``repro.datastructures`` — gain containers (heap, AVL tree, FM buckets),
+  pass journal
 * ``repro.partition``    — partition state, balance, metrics
 * ``repro.core``         — PROP itself (the paper's contribution)
 * ``repro.kernels``      — vectorized gain kernels (numpy backend, CSR view)
@@ -78,7 +79,7 @@ from .telemetry import (
 
 #: Participates in every engine cache key: bumping it invalidates the
 #: on-disk result cache (see repro.engine.cache).
-__version__ = "1.12.0"
+__version__ = "1.13.0"
 
 from .engine import Engine, EngineConfig, WorkUnit  # noqa: E402 - engine cache keys need __version__ defined first
 from .faults import FaultPlan, FaultSpec, injected_faults  # noqa: E402

@@ -13,8 +13,9 @@ Invariant families (see :class:`~repro.audit.config.AuditConfig`):
 * **structure** — per-net pin counts, locked-pin counts, side weights,
   the tracked cut cost, and the running journal cut;
 * **gains** — FM container gains vs Eqn. (1), LA vectors vs the
-  Krishnamurthy rules, PROP incremental gains vs Eqns. (2)–(6), and
-  container membership (exactly the free nodes, on the right side);
+  Krishnamurthy rules, PROP incremental gains vs Eqns. (2)–(6), PROP's
+  clean keys vs a fresh recompute, and container membership (exactly the
+  free nodes, on the right side);
 * **probabilities** — PROP lock discipline (locked ⇒ p = 0) and range;
 * **balance** — a pass that starts inside the window stays inside it;
 * **rollback** — journal gains, the maximum-prefix-sum decision, and the
@@ -519,6 +520,43 @@ class PassAuditor:
                     (prod0, prod1),
                     move_index=self._move_index,
                     detail=f"net {net_id} cached side products drifted",
+                )
+
+    def check_prop_clean_keys(
+        self, partition, engine, containers, stale
+    ) -> None:
+        """Every free node with a clear stale flag holds its exact gain.
+
+        The recompute strategy's top-k refresh skips a node whose flag is
+        clear, on the grounds that recomputing it would return its stored
+        key.  So that key must equal ``node_gain`` **exactly**, as a
+        recompute would compare it.
+        """
+        t0 = time.perf_counter()
+        try:
+            self._check_prop_clean_keys(partition, engine, containers, stale)
+        finally:
+            self.seconds += time.perf_counter() - t0
+
+    def _check_prop_clean_keys(
+        self, partition, engine, containers, stale
+    ) -> None:
+        if not self.config.check_gains:
+            return
+        for v in self._gain_sweep_nodes(partition):
+            if stale[v]:
+                continue
+            key = containers[partition.side(v)].gain_of(v)
+            gain = engine.node_gain(v)
+            self.checks_run += 1
+            if key != gain:
+                raise self._violation(
+                    "prop-clean-key",
+                    gain,
+                    key,
+                    node=v,
+                    move_index=self._move_index,
+                    detail="a node flagged clean holds a stale key",
                 )
 
     def _check_probabilities(self, partition, engine) -> None:

@@ -84,6 +84,12 @@ class PropGains(GainPolicy):
     the gain (and probability) of each free neighbor and of the
     top-ranked nodes of each side (Sec. 3.4).  ``kernel`` names a
     resolved sequential backend (``"python"`` or ``"numpy"``).
+
+    Under the recompute strategy, ``stale`` flags each node whose gain
+    inputs — the side and probability of every other pin of its nets —
+    may have changed since its last :meth:`node_gain` call.  A node with
+    a clear flag holds exactly that gain as its key, so the top-k refresh
+    skips it: recomputing would return the stored key bit for bit.
     """
 
     phases = ("bootstrap", "refine", "gain_init", "move_loop")
@@ -98,6 +104,7 @@ class PropGains(GainPolicy):
         self.prob_fn = make_probability_fn(config)
         self.gains: List[float] = []
         self.contribs = None
+        self.stale: Optional[List[bool]] = None
 
     def run_pass(self, balance, pass_index, auditor, rec, phase, counters):
         engine = self.engine
@@ -154,6 +161,11 @@ class PropGains(GainPolicy):
     def initial_keys(self) -> List[float]:
         if self.config.update_strategy == "cached":
             self.contribs = self.engine.new_contribution_state()
+        else:
+            # all_gains() conditions by division (prod_mine / p(u)), which
+            # is not bit-identical to node_gain's direct product: no
+            # pass-start key counts as clean.
+            self.stale = [True] * self.partition.graph.num_nodes
         return self.gains
 
     def apply_move(self, node, from_side, containers, counters) -> float:
@@ -163,6 +175,7 @@ class PropGains(GainPolicy):
             self._update_neighbors_cached(node, containers, counters)
             self._update_top_ranked_cached(containers, counters)
         else:
+            self._mark_stale(node)
             self._update_neighbors(node, containers, counters)
             self._update_top_ranked(containers, counters)
         return immediate
@@ -171,6 +184,10 @@ class PropGains(GainPolicy):
         auditor.check_containers(self.partition, containers)
         auditor.check_prop_gains(self.partition, self.engine)
         auditor.check_prop_kernel(self.partition, self.engine)
+        if self.stale is not None:
+            auditor.check_prop_clean_keys(
+                self.partition, self.engine, containers, self.stale
+            )
 
     def run_stats(self) -> dict:
         engine = self.engine
@@ -187,6 +204,7 @@ class PropGains(GainPolicy):
         engine = self.engine
         graph = partition.graph
         update_p = self.config.update_neighbor_probabilities
+        stale = self.stale
         seen = {moved}
         for net_id in graph.node_nets(moved):
             for nbr in graph.net(net_id):
@@ -196,7 +214,8 @@ class PropGains(GainPolicy):
                 seen.add(nbr)
                 gain = engine.node_gain(nbr)
                 if update_p:
-                    engine.set_probability(nbr, self.prob_fn(gain))
+                    self._set_probability(nbr, self.prob_fn(gain))
+                stale[nbr] = False
                 if counters is not None:
                     counters.neighbor_updates += 1
                 container = containers[partition.side(nbr)]
@@ -263,22 +282,46 @@ class PropGains(GainPolicy):
 
         Needed because a top node may be a neighbor-of-a-neighbor of the
         moved node, whose probability just changed; the paper argues
-        refreshing the top few contenders is all that is necessary.
+        refreshing the top few contenders is all that is necessary.  A
+        node whose ``stale`` flag is clear is examined (and counted)
+        without a recompute: its key already is its gain.
         """
         k = self.config.top_update_count
         if k <= 0:
             return
         engine = self.engine
         update_p = self.config.update_neighbor_probabilities
+        stale = self.stale
         for side in (0, 1):
-            for node, stale in containers[side].top(k):
+            for node, key in containers[side].top(k):
                 if counters is not None:
                     counters.topk_updates += 1
+                if not stale[node]:
+                    continue
                 gain = engine.node_gain(node)
-                if gain == stale:
-                    continue  # unchanged: skip the O(log n) reinsertion
-                if update_p:
-                    engine.set_probability(node, self.prob_fn(gain))
-                containers[side].update(node, gain)
-                if counters is not None:
-                    counters.container_updates += 1
+                if gain != key:
+                    if update_p:
+                        self._set_probability(node, self.prob_fn(gain))
+                    containers[side].update(node, gain)
+                    if counters is not None:
+                        counters.container_updates += 1
+                stale[node] = False
+
+    def _mark_stale(self, node) -> None:
+        """Flag every pin of ``node``'s nets: their gains read the side
+        and probability of ``node``."""
+        graph = self.partition.graph
+        nets = graph.nets
+        stale = self.stale
+        for net_id in graph.node_nets(node):
+            for v in nets[net_id]:
+                stale[v] = True
+
+    def _set_probability(self, node, value) -> None:
+        """Write ``p(node)``; a changed value flags the gains that read
+        it.  Called just after ``node``'s own gain was computed, so the
+        caller clears ``node``'s flag again: a node's gain does not read
+        its own probability."""
+        if value != self.engine.p[node]:
+            self._mark_stale(node)
+        self.engine.set_probability(node, value)

@@ -1,10 +1,12 @@
-"""Core data structures: AVL tree, FM gain buckets, heap, pass journal."""
+"""Core data structures: gain containers (heap, AVL tree, FM buckets),
+addressable heap, pass journal."""
 
 from .avl import AVLTree
 from .bucket_list import BucketList
 from .gain_container import (
     BucketGainContainer,
     GainContainer,
+    HeapGainContainer,
     TreeGainContainer,
 )
 from .heap import AddressablePriorityQueue
@@ -15,6 +17,7 @@ __all__ = [
     "AddressablePriorityQueue",
     "BucketList",
     "GainContainer",
+    "HeapGainContainer",
     "TreeGainContainer",
     "BucketGainContainer",
     "PassJournal",

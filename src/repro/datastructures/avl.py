@@ -3,8 +3,9 @@
 The paper (Sec. 3.5) stores nodes "according to their gains, in a balanced
 binary AVL tree", giving Θ(log n) best-node selection and Θ(log n)
 delete/reinsert per gain update.  This module provides a general ordered-map
-AVL tree over arbitrary comparable keys; the gain containers build on it with
-``(gain, node_id)`` (or ``(gain_vector, node_id)`` for LA) keys.
+AVL tree over arbitrary comparable keys; FM-tree's gain container
+(:class:`~repro.datastructures.gain_container.TreeGainContainer`) builds on
+it with ``(gain, node_id)`` keys.
 
 Supported operations (all O(log n) except iteration):
 

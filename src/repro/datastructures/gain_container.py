@@ -1,22 +1,27 @@
-"""Uniform interface over the two gain containers used by the partitioners.
+"""Uniform interface over the gain containers used by the partitioners.
 
 The iterative partitioners (FM, LA, PROP) need, per side of the partition, a
 collection of free nodes ordered by gain, supporting best-node queries and
-gain updates.  Two realizations exist:
+gain updates.  Three realizations exist:
 
 * :class:`BucketGainContainer` — FM's O(1) bucket array; integer gains only
   (unit net costs).
-* :class:`TreeGainContainer` — AVL tree keyed by ``(gain, node)``; works for
-  float gains (PROP), weighted-net integer gains (FM-tree) and
-  lexicographic gain vectors (LA).
+* :class:`HeapGainContainer` — binary heap with lazy deletion, ordered by
+  ``(gain, node)``; the sequential move loop's default, serving PROP's
+  float gains and LA's lexicographic gain vectors.
+* :class:`TreeGainContainer` — AVL tree keyed by ``(gain, node)``; the
+  paper's Sec. 3.5 structure, kept as FM-tree's container (Table 4 times
+  FM on an AVL tree).
 
-Ties are broken deterministically: the tree container prefers the higher
-node id among equal gains, the bucket container is LIFO within a bucket.
-Determinism matters because every experiment is seeded end-to-end.
+Ties are broken deterministically: the heap and tree containers prefer the
+higher node id among equal gains — both pick, and list ``top(k)``, in the
+same ``(gain, node)`` max order — and the bucket container is LIFO within a
+bucket.  Determinism matters because every experiment is seeded end-to-end.
 """
 
 from __future__ import annotations
 
+import heapq
 from abc import ABC, abstractmethod
 from typing import Any, Dict, Iterator, List, Tuple
 
@@ -79,7 +84,7 @@ class GainContainer(ABC):
 
 
 class TreeGainContainer(GainContainer):
-    """AVL-tree gain container; the paper's choice for PROP (Sec. 3.5)."""
+    """AVL-tree gain container: the paper's Sec. 3.5 structure, FM-tree's."""
 
     __slots__ = ("_tree", "_gains")
 
@@ -125,6 +130,90 @@ class TreeGainContainer(GainContainer):
 
     def __contains__(self, node: int) -> bool:
         return node in self._gains
+
+
+class HeapGainContainer(GainContainer):
+    """Binary-heap gain container in the tree container's exact order.
+
+    Heap entries are ``(negated key, -node, key)`` tuples, so the heapq
+    min-heap pops the maximum ``(key, node)`` first: the highest gain,
+    ties to the higher node, exactly as :class:`TreeGainContainer`.  A
+    key is a float (PROP), an integer, or a tuple gain vector (LA), whose
+    negation is element-wise.  Updates push a new entry and leave the old
+    one in the heap; ``_live`` maps each node to its live entry, and any
+    entry that is not the mapped object (compared by identity, so a node
+    re-keyed back to an old key cannot revive a stale duplicate) is
+    dropped when it reaches the top.  The heap is rebuilt from the live
+    entries once it holds more than twice as many entries as nodes, so a
+    pass's memory stays O(n).
+    """
+
+    __slots__ = ("_heap", "_live")
+
+    def __init__(self) -> None:
+        self._heap: List[Tuple[Any, int, Any]] = []
+        self._live: Dict[int, Tuple[Any, int, Any]] = {}
+
+    def _push(self, node: int, gain: Any) -> None:
+        neg = tuple(-x for x in gain) if type(gain) is tuple else -gain
+        entry = (neg, -node, gain)
+        self._live[node] = entry
+        heap = self._heap
+        heapq.heappush(heap, entry)
+        if len(heap) > 2 * len(self._live):
+            heap[:] = self._live.values()
+            heapq.heapify(heap)
+
+    def insert(self, node: int, gain: Any) -> None:
+        if node in self._live:
+            raise KeyError(f"node {node} already present")
+        self._push(node, gain)
+
+    def remove(self, node: int) -> Any:
+        try:
+            return self._live.pop(node)[2]
+        except KeyError:
+            raise KeyError(f"node {node} not present") from None
+
+    def update(self, node: int, gain: Any) -> None:
+        if node not in self._live:
+            raise KeyError(f"node {node} not present")
+        self._push(node, gain)
+
+    def gain_of(self, node: int) -> Any:
+        return self._live[node][2]
+
+    def peek_best(self) -> Tuple[int, Any]:
+        heap = self._heap
+        live = self._live
+        while heap:
+            entry = heap[0]
+            if live.get(-entry[1]) is entry:
+                return -entry[1], entry[2]
+            heapq.heappop(heap)
+        raise KeyError("peek_best() on empty container")
+
+    def top(self, k: int) -> List[Tuple[int, Any]]:
+        heap = self._heap
+        live = self._live
+        best = []
+        while heap and len(best) < k:
+            entry = heapq.heappop(heap)
+            if live.get(-entry[1]) is entry:
+                best.append(entry)
+        for entry in best:
+            heapq.heappush(heap, entry)
+        return [(-entry[1], entry[2]) for entry in best]
+
+    def iter_descending(self) -> Iterator[Tuple[int, Any]]:
+        for entry in sorted(self._live.values()):
+            yield -entry[1], entry[2]
+
+    def __len__(self) -> int:
+        return len(self._live)
+
+    def __contains__(self, node: int) -> bool:
+        return node in self._live
 
 
 class BucketGainContainer(GainContainer):

@@ -30,7 +30,7 @@ import time
 from typing import Iterable, Optional, Tuple
 
 from .audit import AuditConfig, PassAuditor, resolve_audit
-from .datastructures import PassJournal, TreeGainContainer
+from .datastructures import HeapGainContainer, PassJournal
 from .partition import BalanceConstraint, BipartitionResult, Partition
 from .telemetry import PassCounters, Recorder, resolve_recorder
 
@@ -75,8 +75,9 @@ class GainPolicy:
         self.csr = csr
 
     def new_containers(self) -> Tuple:
-        """Empty side-0/side-1 gain containers for one pass."""
-        return TreeGainContainer(), TreeGainContainer()
+        """Empty side-0/side-1 gain containers for one pass: heaps in
+        ``(key, node)`` max order (PROP and LA; FM overrides this)."""
+        return HeapGainContainer(), HeapGainContainer()
 
     def initial_keys(self) -> Iterable:
         """Selection key of every node at pass start (all nodes are free)."""

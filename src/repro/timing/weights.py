@@ -5,9 +5,9 @@ The paper motivates non-uniform net costs with timing-driven partitioning
 than a non-critical one to ensure that the length of critical or
 near-critical nets are kept as short as possible".  Crucially, weighted
 nets break FM's O(1) bucket structure (FM must fall back to a tree,
-Sec. 4) while PROP's AVL-based engine handles them natively at unchanged
-complexity — one of PROP's selling points and the subject of a dedicated
-benchmark (``benchmarks/test_ablations.py``) and example
+Sec. 4) while PROP's float-keyed gain container handles them natively at
+unchanged complexity — one of PROP's selling points and the subject of a
+dedicated benchmark (``benchmarks/test_ablations.py``) and example
 (``examples/timing_driven.py``).
 
 This module provides weighting policies plus a report comparing how well a

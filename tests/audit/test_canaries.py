@@ -93,6 +93,15 @@ def test_prop_wrong_incremental_gain_is_caught(monkeypatch, graph):
     _expect_violation(PropPartitioner(), graph, "prop-gain")
 
 
+def test_prop_unflagged_stale_gain_is_caught(monkeypatch, graph):
+    """If a move flags no pin stale, the top-k refresh skips nodes whose
+    gain did change; their keys must fail the clean-key check."""
+    from repro.core.engine import PropGains
+
+    monkeypatch.setattr(PropGains, "_mark_stale", lambda self, node: None)
+    _expect_violation(PropPartitioner(), graph, "prop-clean-key")
+
+
 def test_corrupted_cut_bookkeeping_is_caught(monkeypatch, graph):
     """Drifting the tracked cut must fail the structure cross-check."""
     original = Partition.move

@@ -3,9 +3,10 @@
 Hypothesis drives random operation sequences against a container and a
 deliberately naive model kept in plain dicts/lists; after every step the
 two must agree on everything observable.  The model encodes the
-*documented* tie rules — ``(gain, node)`` max for the tree container,
-LIFO-within-bucket for the bucket container — so a regression in either
-structure's ordering (not just its membership) is caught.
+*documented* tie rules — ``(gain, node)`` max for the tree and heap
+containers, LIFO-within-bucket for the bucket container — so a
+regression in any structure's ordering (not just its membership) is
+caught.
 """
 
 import pytest
@@ -18,7 +19,11 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.datastructures import BucketGainContainer, TreeGainContainer
+from repro.datastructures import (
+    BucketGainContainer,
+    HeapGainContainer,
+    TreeGainContainer,
+)
 
 NODES = st.integers(min_value=0, max_value=23)
 INT_GAINS = st.integers(min_value=-6, max_value=6)
@@ -33,12 +38,21 @@ COMMON_SETTINGS = settings(
 
 
 class TreeContainerMachine(RuleBasedStateMachine):
-    """TreeGainContainer vs. a plain dict ordered by ``(gain, node)``."""
+    """An ordered container vs. a plain dict ordered by ``(gain, node)``.
+
+    ``make`` names the container: :class:`TreeGainContainer` here, and
+    :class:`HeapGainContainer` in the subclass below.
+    """
+
+    make = TreeGainContainer
 
     def __init__(self):
         super().__init__()
-        self.container = TreeGainContainer()
+        self.container = self.make()
         self.model = {}
+
+    def check_storage(self):
+        """Container-specific storage bound after a burst of updates."""
 
     def _descending(self):
         return sorted(
@@ -71,6 +85,19 @@ class TreeContainerMachine(RuleBasedStateMachine):
         self.container.update(node, gain)
         self.model[node] = gain
 
+    @precondition(lambda self: self.model)
+    @rule(
+        data=st.data(),
+        gains=st.lists(FLOAT_GAINS, min_size=2, max_size=30),
+    )
+    def rekey_one_node_many_times(self, data, gains):
+        """Re-key one node again and again, back to earlier keys too."""
+        node = data.draw(st.sampled_from(sorted(self.model)))
+        for gain in gains:
+            self.container.update(node, gain)
+        self.model[node] = gains[-1]
+        self.check_storage()
+
     @rule(node=NODES)
     def gain_of(self, node):
         if node not in self.model:
@@ -98,6 +125,17 @@ class TreeContainerMachine(RuleBasedStateMachine):
         else:
             with pytest.raises(KeyError):
                 self.container.peek_best()
+
+
+class HeapContainerMachine(TreeContainerMachine):
+    """The heap container under the same model: its lazily deleted
+    entries never show, and a burst of re-keys triggers the rebuild that
+    keeps the heap within twice the live node count."""
+
+    make = HeapGainContainer
+
+    def check_storage(self):
+        assert len(self.container._heap) <= 2 * len(self.model)
 
 
 class BucketContainerMachine(RuleBasedStateMachine):
@@ -204,6 +242,8 @@ class BucketContainerMachine(RuleBasedStateMachine):
 
 TestTreeContainerModel = TreeContainerMachine.TestCase
 TestTreeContainerModel.settings = COMMON_SETTINGS
+TestHeapContainerModel = HeapContainerMachine.TestCase
+TestHeapContainerModel.settings = COMMON_SETTINGS
 TestBucketContainerModel = BucketContainerMachine.TestCase
 TestBucketContainerModel.settings = COMMON_SETTINGS
 

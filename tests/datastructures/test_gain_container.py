@@ -1,23 +1,34 @@
-"""Tests for the uniform gain-container interface (tree and bucket)."""
+"""Tests for the uniform gain-container interface (tree, heap, bucket)."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datastructures import BucketGainContainer, TreeGainContainer
+from repro.datastructures import (
+    BucketGainContainer,
+    HeapGainContainer,
+    TreeGainContainer,
+)
 
 
 def make_tree():
     return TreeGainContainer()
 
 
+def make_heap():
+    return HeapGainContainer()
+
+
 def make_bucket():
     return BucketGainContainer(capacity=64, max_gain=10)
 
 
-@pytest.fixture(params=["tree", "bucket"])
+MAKERS = {"tree": make_tree, "heap": make_heap, "bucket": make_bucket}
+
+
+@pytest.fixture(params=["tree", "bucket", "heap"])
 def container(request):
-    return make_tree() if request.param == "tree" else make_bucket()
+    return MAKERS[request.param]()
 
 
 class TestCommonInterface:
@@ -73,25 +84,33 @@ class TestCommonInterface:
 
 
 class TestTreeSpecific:
+    make = staticmethod(make_tree)
+
     def test_float_gains(self):
-        c = make_tree()
+        c = self.make()
         c.insert(0, 1.25)
         c.insert(1, 1.5)
         assert c.peek_best() == (1, 1.5)
 
     def test_vector_gains(self):
         """LA uses lexicographic tuples as gains."""
-        c = make_tree()
+        c = self.make()
         c.insert(0, (2, 0, 0))
         c.insert(1, (2, 0, 1))
         c.insert(2, (1, 9, 9))
         assert c.peek_best() == (1, (2, 0, 1))
 
     def test_tie_break_prefers_higher_node(self):
-        c = make_tree()
+        c = self.make()
         c.insert(3, 1.0)
         c.insert(7, 1.0)
         assert c.peek_best() == (7, 1.0)
+
+
+class TestHeapSpecific(TestTreeSpecific):
+    """The heap container keeps the tree's ``(gain, node)`` order."""
+
+    make = staticmethod(make_heap)
 
 
 class TestBucketSpecific:

@@ -2,7 +2,7 @@
 
 The vectorized backend's contract is *exact* equivalence — every gain,
 contribution, and counter equals the scalar value bit for bit, because
-the AVL containers break ties on ``(gain, node)`` and a one-ulp drift
+the gain containers break ties on ``(gain, node)`` and a one-ulp drift
 changes move order.  So every assertion here is ``==``, never
 ``pytest.approx``.
 """
