@@ -24,13 +24,26 @@ Invariant families (see :class:`~repro.audit.config.AuditConfig`):
 
 from __future__ import annotations
 
-import time
-from typing import List, Optional, Sequence, Tuple
+import functools
+from typing import List, Optional, Sequence
 
 from ..hypergraph import Hypergraph
+from ..telemetry.clock import PhaseClock
 from . import reference
 from .config import AuditConfig
 from .violations import InvariantViolation
+
+
+def _timed(hook):
+    """Count ``hook``'s wall time into the auditor's ``audit`` phase,
+    also when it raises a violation."""
+
+    @functools.wraps(hook)
+    def timed(self, *args, **kwargs):
+        with self._clock("audit"):
+            return hook(self, *args, **kwargs)
+
+    return timed
 
 
 class PassAuditor:
@@ -58,70 +71,62 @@ class PassAuditor:
         self.moves_seen = 0
         self.moves_audited = 0
         self.checks_run = 0
-        #: Wall-clock seconds spent inside audit hooks.  The engines
-        #: subtract this from their elapsed time so ``runtime_seconds``
-        #: measures the algorithm, not the auditing riding along.
-        self.seconds = 0.0
+        self._clock = PhaseClock(("audit",))
         self._pass_index = -1
         self._move_index = 0
         self._pre_pass_sides: List[int] = []
         self._running_cut = 0.0
         self._started_balanced = False
 
+    @property
+    def seconds(self) -> float:
+        """Wall-clock seconds spent inside audit hooks.  The engines
+        subtract this from their elapsed time so ``runtime_seconds``
+        measures the algorithm, not the auditing riding along."""
+        return self._clock.seconds["audit"]
+
     # ------------------------------------------------------------------
     # Pass lifecycle hooks (called by the engines)
     # ------------------------------------------------------------------
+    @_timed
     def start_pass(self, partition) -> None:
         """Snapshot pre-pass state and verify the starting bookkeeping."""
-        t0 = time.perf_counter()
-        try:
-            self._pass_index += 1
-            self._move_index = 0
-            self.passes_audited += 1
-            self._pre_pass_sides = partition.sides
-            self._running_cut = partition.cut_cost
-            weights = reference.side_weights(self.graph, self._pre_pass_sides)
-            self._started_balanced = self.balance is not None and bool(
-                self.balance.is_satisfied(weights)
-            )
-            if self.config.check_structure:
-                self._check_structure(partition, node=None)
-        finally:
-            self.seconds += time.perf_counter() - t0
+        self._pass_index += 1
+        self._move_index = 0
+        self.passes_audited += 1
+        self._pre_pass_sides = partition.sides
+        self._running_cut = partition.cut_cost
+        weights = reference.side_weights(self.graph, self._pre_pass_sides)
+        self._started_balanced = self.balance is not None and bool(
+            self.balance.is_satisfied(weights)
+        )
+        if self.config.check_structure:
+            self._check_structure(partition, node=None)
 
+    @_timed
     def after_move(self, partition, node: int, reported_gain: float) -> bool:
         """Account for one tentative move; deep-check every Nth.
 
         Returns True when this move was audited — the engine then calls
         the relevant gain/probability checks with its own containers.
         """
-        t0 = time.perf_counter()
-        try:
-            self.moves_seen += 1
-            self._move_index += 1
-            self._running_cut -= reported_gain
-            if self._move_index % self.config.every != 0:
-                return False
-            self.moves_audited += 1
-            if self.config.check_structure:
-                self._check_structure(partition, node=node)
-            if self.config.check_balance and self._started_balanced:
-                self._check_balance(partition, node)
-            return True
-        finally:
-            self.seconds += time.perf_counter() - t0
+        self.moves_seen += 1
+        self._move_index += 1
+        self._running_cut -= reported_gain
+        if self._move_index % self.config.every != 0:
+            return False
+        self.moves_audited += 1
+        if self.config.check_structure:
+            self._check_structure(partition, node=node)
+        if self.config.check_balance and self._started_balanced:
+            self._check_balance(partition, node)
+        return True
 
+    @_timed
     def after_rollback(self, partition, journal) -> None:
         """Verify journal gains, the prefix decision, and the rollback."""
         if not self.config.check_rollback:
             return
-        t0 = time.perf_counter()
-        try:
-            self._after_rollback_checks(partition, journal)
-        finally:
-            self.seconds += time.perf_counter() - t0
-
-    def _after_rollback_checks(self, partition, journal) -> None:
         tol = self.config.tolerance
         moves = list(journal.moves)
         nodes = [record.node for record in moves]
@@ -181,6 +186,7 @@ class PassAuditor:
                 "rollback-cut", kept_cut, partition.cut_cost
             )
 
+    @_timed
     def after_batch(
         self, partition, nodes: Sequence[int], gains: Sequence[float]
     ) -> bool:
@@ -195,24 +201,22 @@ class PassAuditor:
         batch and deep-checks the post-batch state whenever the batch
         crossed an ``every`` boundary.  Returns True when it audited.
         """
-        t0 = time.perf_counter()
-        try:
-            self.moves_seen += len(nodes)
-            before = self._move_index
-            self._move_index += len(nodes)
-            for g in gains:
-                self._running_cut -= g
-            if before // self.config.every == self._move_index // self.config.every:
-                return False
-            self.moves_audited += 1
-            if self.config.check_structure:
-                self._check_structure(partition, node=None)
-            if self.config.check_balance and self._started_balanced:
-                self._check_balance(partition, nodes[-1] if nodes else None)
-            return True
-        finally:
-            self.seconds += time.perf_counter() - t0
+        every = self.config.every
+        self.moves_seen += len(nodes)
+        before = self._move_index
+        self._move_index += len(nodes)
+        for g in gains:
+            self._running_cut -= g
+        if before // every == self._move_index // every:
+            return False
+        self.moves_audited += 1
+        if self.config.check_structure:
+            self._check_structure(partition, node=None)
+        if self.config.check_balance and self._started_balanced:
+            self._check_balance(partition, nodes[-1] if nodes else None)
+        return True
 
+    @_timed
     def check_subround_batch(
         self, partition, pre_sides: Sequence[int], batch: Sequence[int],
         gains: Sequence[float],
@@ -230,15 +234,6 @@ class PassAuditor:
         """
         if not self.config.check_gains:
             return
-        t0 = time.perf_counter()
-        try:
-            self._check_subround_batch(partition, pre_sides, batch, gains)
-        finally:
-            self.seconds += time.perf_counter() - t0
-
-    def _check_subround_batch(
-        self, partition, pre_sides, batch, gains
-    ) -> None:
         tol = self.config.tolerance
         seen_nets = set()
         for v in batch:
@@ -354,15 +349,8 @@ class PassAuditor:
     # ------------------------------------------------------------------
     # Gain checks (engine-specific; called only on audited moves)
     # ------------------------------------------------------------------
-    def check_containers(self, partition, containers) -> None:
-        """Containers hold exactly the free nodes, each on its side."""
-        t0 = time.perf_counter()
-        try:
-            self._check_containers(partition, containers)
-        finally:
-            self.seconds += time.perf_counter() - t0
-
     def _check_containers(self, partition, containers) -> None:
+        """Containers hold exactly the free nodes, each on its side."""
         if not self.config.check_gains:
             return
         for v in range(self.graph.num_nodes):
@@ -387,15 +375,13 @@ class PassAuditor:
                         move_index=self._move_index,
                     )
 
+    #: The timed hook over :meth:`_check_containers`, which the gain
+    #: checks below also run, untimed, inside their own timing.
+    check_containers = _timed(_check_containers)
+
+    @_timed
     def check_fm_gains(self, partition, containers) -> None:
         """Every free node's container gain equals Eqn. (1) from scratch."""
-        t0 = time.perf_counter()
-        try:
-            self._check_fm_gains(partition, containers)
-        finally:
-            self.seconds += time.perf_counter() - t0
-
-    def _check_fm_gains(self, partition, containers) -> None:
         if not self.config.check_gains:
             return
         self._check_containers(partition, containers)
@@ -414,15 +400,9 @@ class PassAuditor:
                     move_index=self._move_index,
                 )
 
+    @_timed
     def check_la_vectors(self, partition, containers, k: int) -> None:
         """Every free node's stored LA vector matches the definition."""
-        t0 = time.perf_counter()
-        try:
-            self._check_la_vectors(partition, containers, k)
-        finally:
-            self.seconds += time.perf_counter() - t0
-
-    def _check_la_vectors(self, partition, containers, k: int) -> None:
         if not self.config.check_gains:
             return
         self._check_containers(partition, containers)
@@ -444,6 +424,7 @@ class PassAuditor:
                     move_index=self._move_index,
                 )
 
+    @_timed
     def check_prop_gains(self, partition, engine) -> None:
         """Incremental Eqn. 2–6 evaluation matches the direct transcription.
 
@@ -453,13 +434,6 @@ class PassAuditor:
         ``node_gain`` must equal the brute-force Eqns. (2)–(6) under the
         current probabilities.
         """
-        t0 = time.perf_counter()
-        try:
-            self._check_prop_gains(partition, engine)
-        finally:
-            self.seconds += time.perf_counter() - t0
-
-    def _check_prop_gains(self, partition, engine) -> None:
         if self.config.check_probabilities:
             self._check_probabilities(partition, engine)
         if not self.config.check_gains:
@@ -480,6 +454,7 @@ class PassAuditor:
                     move_index=self._move_index,
                 )
 
+    @_timed
     def check_prop_kernel(self, partition, engine) -> None:
         """The numpy backend's per-net product cache matches brute force.
 
@@ -491,16 +466,7 @@ class PassAuditor:
         drift the differential contract forbids.
         """
         snapshot = getattr(engine, "product_cache_snapshot", None)
-        if snapshot is None:
-            return
-        t0 = time.perf_counter()
-        try:
-            self._check_prop_kernel(partition, engine, snapshot)
-        finally:
-            self.seconds += time.perf_counter() - t0
-
-    def _check_prop_kernel(self, partition, engine, snapshot) -> None:
-        if not self.config.check_gains:
+        if snapshot is None or not self.config.check_gains:
             return
         graph = self.graph
         p = engine.p
@@ -522,6 +488,7 @@ class PassAuditor:
                     detail=f"net {net_id} cached side products drifted",
                 )
 
+    @_timed
     def check_prop_clean_keys(
         self, partition, engine, containers, stale
     ) -> None:
@@ -532,15 +499,6 @@ class PassAuditor:
         key.  So that key must equal ``node_gain`` **exactly**, as a
         recompute would compare it.
         """
-        t0 = time.perf_counter()
-        try:
-            self._check_prop_clean_keys(partition, engine, containers, stale)
-        finally:
-            self.seconds += time.perf_counter() - t0
-
-    def _check_prop_clean_keys(
-        self, partition, engine, containers, stale
-    ) -> None:
         if not self.config.check_gains:
             return
         for v in self._gain_sweep_nodes(partition):
@@ -606,7 +564,7 @@ class PassAuditor:
             "audit_passes": float(self.passes_audited),
             "audit_moves": float(self.moves_audited),
             "audit_checks": float(self.checks_run),
-            "audit_seconds": self.seconds,
+            **self._clock.stats(),
         }
 
     def _violation(

@@ -136,12 +136,7 @@ class WindowPartitioner:
         coarse = contraction.coarse
 
         # Coarse balance: same absolute bounds, slackened by one cluster.
-        max_w = max(coarse.node_weights)
-        coarse_balance = BalanceConstraint(
-            lo=max(0.0, balance.lo - max_w),
-            hi=balance.hi + max_w,
-            total=balance.total,
-        )
+        coarse_balance = balance.slackened(max(coarse.node_weights))
         best_coarse: Optional[List[int]] = None
         best_coarse_cut = float("inf")
         for _ in range(self.coarse_runs):

@@ -1036,6 +1036,7 @@ def _run_quarantine_mode(argv: List[str]) -> int:
 
     # release
     registry.release(fingerprint)
+    registry.close()
     if args.json:
         print(json.dumps({"released": fingerprint}, sort_keys=True))
     else:

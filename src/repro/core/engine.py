@@ -106,18 +106,14 @@ class PropGains(GainPolicy):
         self.contribs = None
         self.stale: Optional[List[bool]] = None
 
-    def run_pass(self, balance, pass_index, auditor, rec, phase, counters):
+    def run_pass(self, balance, pass_index, auditor, rec, counters):
         engine = self.engine
         writes_before = engine.probability_writes
-        t0 = time.perf_counter()
-        self._bootstrap_probabilities()
-        t1 = time.perf_counter()
-        self.gains = self._refine()
-        phase["bootstrap"] = t1 - t0
-        phase["refine"] = time.perf_counter() - t1
-        journal = super().run_pass(
-            balance, pass_index, auditor, rec, phase, counters
-        )
+        with self.clock("bootstrap"):
+            self._bootstrap_probabilities()
+        with self.clock("refine"):
+            self.gains = self._refine()
+        journal = super().run_pass(balance, pass_index, auditor, rec, counters)
         if counters is not None:
             counters.probability_refreshes = (
                 engine.probability_writes - writes_before

@@ -96,12 +96,7 @@ class TwoPhasePropPartitioner:
         contraction = contract(graph, cluster_of)
         coarse = contraction.coarse
 
-        max_w = max(coarse.node_weights)
-        coarse_balance = BalanceConstraint(
-            lo=max(0.0, balance.lo - max_w),
-            hi=min(balance.total, balance.hi + max_w),
-            total=balance.total,
-        )
+        coarse_balance = balance.slackened(max(coarse.node_weights))
         best = None
         for i in range(self.coarse_runs):
             init = random_balanced_sides(coarse, seed + 31 * i)

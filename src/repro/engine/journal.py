@@ -9,15 +9,18 @@ subsequent line is one *completed* work unit — its cache key, seed/tag,
 execution source and the full encoded result, sealed with the same
 embedded sha256 as cache records (:mod:`repro.engine.records`).
 
-Crash safety is append discipline: each unit is written as exactly one
-``write()`` of one newline-terminated line, flushed and fsynced before
-the engine moves on.  A run killed at any instant therefore leaves a
-journal whose lines are all valid except possibly the torn last one,
-which :meth:`RunJournal.load` skips (as it does any line failing its
-checksum).  Resume reads the journal, serves every recorded unit
-without recomputing it, and appends only the newly completed ones — so
-``--resume`` after a SIGTERM, a crash or a power cut recomputes zero
-finished units and yields bit-identical cuts to an uninterrupted run.
+Crash safety is append discipline (:class:`SealedAppender`, shared by
+every sealed journal in the package): each unit is written as exactly
+one ``write()`` of one newline-terminated line, flushed and fsynced
+before the engine moves on.  A run killed at any instant therefore
+leaves a journal whose lines are all valid except possibly the torn last
+one, which :meth:`RunJournal.load` skips (as it does any line failing
+its checksum); the next append closes that fragment out first, so it
+cannot swallow the record after it.  Resume reads the journal, serves
+every recorded unit without recomputing it, and appends only the newly
+completed ones — so ``--resume`` after a SIGTERM, a crash or a power cut
+recomputes zero finished units and yields bit-identical cuts to an
+uninterrupted run.
 
 The journal is deliberately independent of the result cache: it works
 with caching disabled, and unlike the content-addressed cache it scopes
@@ -30,6 +33,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import threading
 from pathlib import Path
 from typing import IO, Dict, Iterator, List, Optional
 
@@ -56,40 +60,84 @@ def journal_path(cache_root: Path, run_id: str) -> Path:
     return Path(cache_root) / RUNS_SUBDIR / f"{validate_run_id(run_id)}.jsonl"
 
 
-class RunJournal:
+class SealedAppender:
+    """The append discipline of every sealed JSONL journal.
+
+    * **lazy open** — the file and its directory appear on the first
+      append;
+    * **torn-tail close-out** — when a crash left the file's last line
+      without its newline, that fragment is ended first, so it fails its
+      checksum on its own instead of fusing with the next record;
+    * **one record, one line** — each record is sealed
+      (:func:`~repro.engine.records.seal`) and written as one ``write``
+      + flush + fsync;
+    * **best effort** — I/O and encoding errors are counted in
+      :attr:`errors`, never raised: journalling must not abort the work
+      it protects;
+    * **thread safe** — appends from several threads never interleave.
+    """
+
+    def __init__(self, path) -> None:
+        self.path = Path(path)
+        self.appended = 0
+        self.errors = 0
+        self._fh: Optional[IO[str]] = None
+        self._lock = threading.Lock()
+
+    def append(self, record: dict) -> None:
+        """Seal ``record`` and append it as one line."""
+        with self._lock:
+            try:
+                # seal() serializes the record to checksum it, so it
+                # raises on non-serializable payloads too.
+                line = json.dumps(seal(record))
+                if self._fh is None:
+                    self._fh = self._open()
+                self._fh.write(line + "\n")
+                self._fh.flush()
+                os.fsync(self._fh.fileno())
+                self.appended += 1
+            except (OSError, TypeError, ValueError):
+                self.errors += 1
+
+    def _open(self) -> IO[str]:
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        torn = False
+        if self.path.exists() and self.path.stat().st_size > 0:
+            with open(self.path, "rb") as probe:
+                probe.seek(-1, os.SEEK_END)
+                torn = probe.read(1) != b"\n"
+        fh = open(self.path, "a", encoding="utf-8")
+        if torn:
+            fh.write("\n")
+        return fh
+
+    def close(self) -> None:
+        """Release the file handle (a later append reopens it)."""
+        with self._lock:
+            if self._fh is not None:
+                try:
+                    self._fh.close()
+                except OSError:
+                    self.errors += 1
+                self._fh = None
+
+
+class RunJournal(SealedAppender):
     """Append-only completion log of one engine batch.
 
-    Opened lazily on first append; writes are line-atomic (single
-    ``write`` + flush + fsync).  All I/O errors are swallowed into
-    :attr:`errors` — journalling, like caching, is best-effort and must
-    never abort the batch it protects.
+    A :class:`SealedAppender`: journalling, like caching, is best-effort
+    and must never abort the batch it protects.
     """
 
     def __init__(self, path: Path, run_id: str, version: str = "") -> None:
-        self.path = Path(path)
+        super().__init__(path)
         self.run_id = run_id
         self.version = version
-        self.errors = 0
-        self.appended = 0
-        self._fh: Optional[IO[str]] = None
 
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
-    def _write_line(self, record: dict) -> None:
-        try:
-            # seal() serializes the record to checksum it, so it raises
-            # on non-serializable payloads too — keep it inside the guard.
-            line = json.dumps(seal(record)) + "\n"
-            if self._fh is None:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                self._fh = open(self.path, "a")
-            self._fh.write(line)
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-        except (OSError, TypeError, ValueError):
-            self.errors += 1
-
     def ensure_header(self, total_units: int) -> None:
         """Write the header line when starting a fresh journal file."""
         try:
@@ -98,7 +146,7 @@ class RunJournal:
             exists = False
         if exists:
             return
-        self._write_line({
+        self.append({
             "type": "header",
             "run_id": self.run_id,
             "version": self.version,
@@ -108,7 +156,7 @@ class RunJournal:
     def append_unit(self, key: str, unit, result_record: dict,
                     seconds: float, source: str) -> None:
         """Record one completed unit (call only after success)."""
-        self._write_line({
+        self.append({
             "type": "unit",
             "key": key,
             "seed": unit.seed,
@@ -117,16 +165,6 @@ class RunJournal:
             "source": source,
             **result_record,
         })
-        self.appended += 1
-
-    def close(self) -> None:
-        """Release the underlying file handle (appending may reopen it)."""
-        if self._fh is not None:
-            try:
-                self._fh.close()
-            except OSError:
-                self.errors += 1
-            self._fh = None
 
     # ------------------------------------------------------------------
     # Reading

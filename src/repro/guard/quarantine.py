@@ -13,8 +13,9 @@ HTTP 409 instead of being re-run.
 State lives under ``<cache>/service/quarantine/``:
 
 * ``strikes.jsonl`` — sealed append-only strike/clear/trip/release
-  events (same checksum + torn-line discipline as every other journal
-  in this codebase); replayed on service start so quarantine decisions
+  events, written through the same
+  :class:`~repro.engine.journal.SealedAppender` as every other journal
+  in this codebase; replayed on service start so quarantine decisions
   survive crashes bit-identically.
 * ``<fingerprint>.json`` — the human-readable diagnostics bundle
   written when the breaker trips: the offending spec payload, its
@@ -30,13 +31,11 @@ fingerprint explicitly.
 from __future__ import annotations
 
 import json
-import os
 import threading
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from ..engine.journal import iter_journal_records
-from ..engine.records import seal
+from ..engine.journal import SealedAppender, iter_journal_records
 
 #: Subdirectory of ``<cache>/service/`` holding quarantine state.
 QUARANTINE_SUBDIR = "quarantine"
@@ -79,7 +78,8 @@ class QuarantineRegistry:
         self._lock = threading.Lock()
         self._strikes: Dict[str, List[Dict[str, Any]]] = {}
         self._tripped: Dict[str, Dict[str, Any]] = {}
-        self.journal_errors = 0
+        self._bundle_errors = 0
+        self._log = SealedAppender(self.journal_path)
         self._load()
 
     # -- persistence ------------------------------------------------
@@ -87,6 +87,15 @@ class QuarantineRegistry:
     @property
     def journal_path(self) -> Path:
         return self.root / "strikes.jsonl"
+
+    @property
+    def journal_errors(self) -> int:
+        """Failed journal appends and diagnostics-bundle writes."""
+        return self._log.errors + self._bundle_errors
+
+    def close(self) -> None:
+        """Release the journal's file handle (a later append reopens it)."""
+        self._log.close()
 
     def bundle_path(self, fingerprint: str) -> Path:
         """Where ``fingerprint``'s diagnostics bundle lives on disk."""
@@ -121,18 +130,6 @@ class QuarantineRegistry:
             self._tripped.pop(fingerprint, None)
             self._strikes.pop(fingerprint, None)
 
-    def _append(self, record: Dict[str, Any]) -> None:
-        """Sealed append + fsync; failures counted, never raised."""
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            line = json.dumps(seal(record), sort_keys=True)
-            with open(self.journal_path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-        except (OSError, TypeError, ValueError):
-            self.journal_errors += 1
-
     # -- breaker ----------------------------------------------------
 
     def is_quarantined(self, fingerprint: str) -> Optional[Dict[str, Any]]:
@@ -157,7 +154,7 @@ class QuarantineRegistry:
         with self._lock:
             if fingerprint not in self._strikes:
                 return
-            self._append({"kind": "clear", "fingerprint": fingerprint})
+            self._log.append({"kind": "clear", "fingerprint": fingerprint})
             self._strikes.pop(fingerprint, None)
 
     def record_strike(
@@ -177,7 +174,7 @@ class QuarantineRegistry:
         with self._lock:
             if fingerprint in self._tripped:
                 return None  # already quarantined; nothing to count
-            self._append(
+            self._log.append(
                 {
                     "kind": "strike",
                     "fingerprint": fingerprint,
@@ -214,7 +211,7 @@ class QuarantineRegistry:
             "strike_history": list(history),
             "diagnostics": diagnostics or {},
         }
-        self._append(
+        self._log.append(
             {"kind": "trip", "fingerprint": fingerprint, "entry": entry}
         )
         self._tripped[fingerprint] = entry
@@ -228,7 +225,7 @@ class QuarantineRegistry:
             )
             tmp.replace(self.bundle_path(fingerprint))
         except (OSError, TypeError, ValueError):
-            self.journal_errors += 1
+            self._bundle_errors += 1
         return entry
 
     def release(self, fingerprint: str) -> bool:
@@ -238,7 +235,7 @@ class QuarantineRegistry:
             present = fingerprint in self._tripped
             if not present and fingerprint not in self._strikes:
                 return False
-            self._append({"kind": "release", "fingerprint": fingerprint})
+            self._log.append({"kind": "release", "fingerprint": fingerprint})
             self._tripped.pop(fingerprint, None)
             self._strikes.pop(fingerprint, None)
             return present

@@ -55,7 +55,6 @@ the bit-identical backend switch.
 
 from __future__ import annotations
 
-import time
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -232,8 +231,8 @@ class _SubroundEngineBase:
 
     One engine instance serves one run (it owns the CSR view, the
     optional shared-memory worker pool, and the run-level telemetry);
-    the run driver (:func:`repro.passes.run_passes`) calls
-    :meth:`run_pass` per pass and :meth:`close` in a ``finally``.
+    the run driver (:func:`repro.passes.run_passes`) sets ``clock``,
+    calls :meth:`run_pass` per pass and :meth:`close` in a ``finally``.
     """
 
     kernel_name = "subround"
@@ -333,7 +332,6 @@ class _SubroundEngineBase:
         pass_index: int,
         auditor,
         rec,
-        phase: dict,
         counters,
     ) -> PassJournal:
         """One tentative-move pass as a sequence of sub-rounds.
@@ -341,66 +339,63 @@ class _SubroundEngineBase:
         Mirrors the sequential move loop's contract
         (:meth:`repro.passes.GainPolicy.run_pass`): locks are left set,
         the journal records every tentative move with its realized
-        immediate gain, ``phase`` receives the pass's phase seconds by
-        span name, and the driver performs the best-prefix rollback.
+        immediate gain, phases are timed on ``self.clock``, and the
+        driver performs the best-prefix rollback.
         """
         part = self.partition
-        graph = part.graph
-        gains = self._start_pass(phase)
-        t0 = time.perf_counter()
-
+        node_weights = part.graph.node_weights
+        gains = self._start_pass()
         journal = PassJournal()
-        node_weights = graph.node_weights
-        while True:
-            free_idx = np.flatnonzero(~self._locked)
-            if free_idx.size == 0:
-                break
-            cap = max(1, int(free_idx.size * self.batch_fraction))
-            batch, conflicts, brejects = select_batch(
-                gains, free_idx, self.tie, self.csr, node_weights,
-                part.sides_view(), part.side_weights, balance,
-                self._claimed, cap,
-            )
-            self.conflicts += conflicts
-            self.balance_rejects += brejects
-            if not batch:
-                break
-            self.subrounds += 1
-            self.batch_max = max(self.batch_max, len(batch))
-            if counters is not None:
-                counters.subrounds += 1
-                counters.subround_batch_nodes += len(batch)
-                counters.subround_conflicts += conflicts
-                counters.subround_balance_rejects += brejects
+        with self.clock("move_loop"):
+            while True:
+                free_idx = np.flatnonzero(~self._locked)
+                if free_idx.size == 0:
+                    break
+                cap = max(1, int(free_idx.size * self.batch_fraction))
+                batch, conflicts, brejects = select_batch(
+                    gains, free_idx, self.tie, self.csr, node_weights,
+                    part.sides_view(), part.side_weights, balance,
+                    self._claimed, cap,
+                )
+                self.conflicts += conflicts
+                self.balance_rejects += brejects
+                if not batch:
+                    break
+                self.subrounds += 1
+                self.batch_max = max(self.batch_max, len(batch))
+                if counters is not None:
+                    counters.subrounds += 1
+                    counters.subround_batch_nodes += len(batch)
+                    counters.subround_conflicts += conflicts
+                    counters.subround_balance_rejects += brejects
 
-            # Pre-move Eqn. (1) gains of the batch.  Net-disjointness
-            # means no batch move changes another's nets, so these equal
-            # what a one-at-a-time replay realizes move by move.
-            counts0 = np.asarray(part.counts_view(0), dtype=np.int64)
-            counts1 = np.asarray(part.counts_view(1), dtype=np.int64)
-            imm = fm_gains(
-                self.csr, self._sides, counts0, counts1,
-                np.asarray(batch, dtype=np.intp),
-            ).tolist()
-            pre_sides = part.sides if auditor is not None else None
-            from_sides = [part.side(v) for v in batch]
-            part.apply_batch(batch, imm)
-            self._on_batch_applied(batch)
+                # Pre-move Eqn. (1) gains of the batch.  Net-disjointness
+                # means no batch move changes another's nets, so these
+                # equal what a one-at-a-time replay realizes move by move.
+                counts0 = np.asarray(part.counts_view(0), dtype=np.int64)
+                counts1 = np.asarray(part.counts_view(1), dtype=np.int64)
+                imm = fm_gains(
+                    self.csr, self._sides, counts0, counts1,
+                    np.asarray(batch, dtype=np.intp),
+                ).tolist()
+                pre_sides = part.sides if auditor is not None else None
+                from_sides = [part.side(v) for v in batch]
+                part.apply_batch(batch, imm)
+                self._on_batch_applied(batch)
 
-            for j, v in enumerate(batch):
-                journal.record(v, from_sides[j], imm[j])
-                if rec is not None:
-                    rec.move(
-                        pass_index, len(journal) - 1, v, from_sides[j],
-                        float(gains[v]), imm[j],
-                    )
-                    counters.moves += 1
-            if auditor is not None:
-                auditor.after_batch(part, batch, imm)
-                auditor.check_subround_batch(part, pre_sides, batch, imm)
+                for j, v in enumerate(batch):
+                    journal.record(v, from_sides[j], imm[j])
+                    if rec is not None:
+                        rec.move(
+                            pass_index, len(journal) - 1, v, from_sides[j],
+                            float(gains[v]), imm[j],
+                        )
+                        counters.moves += 1
+                if auditor is not None:
+                    auditor.after_batch(part, batch, imm)
+                    auditor.check_subround_batch(part, pre_sides, batch, imm)
 
-            gains = self._next_gains(gains)
-        phase["move_loop"] = time.perf_counter() - t0
+                gains = self._next_gains(gains)
         return journal
 
     def run_stats(self) -> dict:
@@ -419,9 +414,9 @@ class _SubroundEngineBase:
         }
 
     # -- hooks implemented by the PROP / FM specializations -----------
-    def _start_pass(self, phase: dict) -> np.ndarray:
+    def _start_pass(self) -> np.ndarray:
         """Refresh the state mirrors and return the pass's first gains,
-        recording the pre-loop phase seconds into ``phase``."""
+        timing the pre-loop phases on ``self.clock``."""
         raise NotImplementedError
 
     def _next_gains(self, gains: np.ndarray) -> np.ndarray:
@@ -500,15 +495,12 @@ class SubroundPropEngine(_SubroundEngineBase):
         self.p[self._locked] = 0.0
         self.probability_writes += 1
 
-    def _start_pass(self, phase: dict) -> np.ndarray:
-        t0 = time.perf_counter()
-        self._refresh_mirrors()
-        self._bootstrap()
-        t1 = time.perf_counter()
-        gains = self._refine()
-        phase["bootstrap"] = t1 - t0
-        phase["refine"] = time.perf_counter() - t1
-        return gains
+    def _start_pass(self) -> np.ndarray:
+        with self.clock("bootstrap"):
+            self._refresh_mirrors()
+            self._bootstrap()
+        with self.clock("refine"):
+            return self._refine()
 
     def run_stats(self) -> dict:
         stats = super().run_stats()
@@ -623,13 +615,11 @@ class SubroundFMEngine(_SubroundEngineBase):
         self._gains[:] = fm_gains(self.csr, self._sides, counts0, counts1)
         return self._gains
 
-    def _start_pass(self, phase: dict) -> np.ndarray:
-        t0 = time.perf_counter()
-        self._refresh_mirrors()
-        self._last_batch = None
-        gains = self._compute_gains().copy()
-        phase["gain_init"] = time.perf_counter() - t0
-        return gains
+    def _start_pass(self) -> np.ndarray:
+        with self.clock("gain_init"):
+            self._refresh_mirrors()
+            self._last_batch = None
+            return self._compute_gains().copy()
 
     def _next_gains(self, gains: np.ndarray) -> np.ndarray:
         csr = self.csr

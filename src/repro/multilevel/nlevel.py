@@ -35,15 +35,11 @@ makes exactly the moves the original run would have made.
 from __future__ import annotations
 
 import hashlib
-import json
-import os
-import time
 from pathlib import Path
-from typing import IO, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..datastructures import AddressablePriorityQueue
-from ..engine.journal import iter_journal_records
-from ..engine.records import seal
+from ..engine.journal import SealedAppender, iter_journal_records
 from ..engine.units import hypergraph_fingerprint
 from ..hypergraph import Hypergraph
 from .coarsen import DEFAULT_MAX_NET_SIZE, DEFAULT_SAMPLE_PINS
@@ -217,13 +213,15 @@ def coarsening_fingerprint(
 class CoarseningJournal:
     """Sealed JSONL log of the contraction sequence.
 
-    Same crash-safety discipline as :class:`repro.engine.journal.RunJournal`:
-    each record is one newline-terminated ``write`` + flush + fsync, torn
-    or checksum-failing lines are skipped on read, and all I/O errors are
-    swallowed into :attr:`errors` (journalling is best-effort and must
-    never abort the coarsening it protects).  The header binds the file
-    to a :func:`coarsening_fingerprint`; a mismatch on replay means the
-    journal belongs to a different graph/config and is ignored.
+    Written through :class:`repro.engine.journal.SealedAppender`, like
+    the engine's run journals: each record is one newline-terminated
+    ``write`` + flush + fsync, a torn final line is closed out before the
+    next append, torn or checksum-failing lines are skipped on read, and
+    all I/O errors are counted in :attr:`errors` (journalling is
+    best-effort and must never abort the coarsening it protects).  The
+    header binds the file to a :func:`coarsening_fingerprint`; a mismatch
+    on replay means the journal belongs to a different graph/config and
+    is ignored.
     """
 
     def __init__(
@@ -237,10 +235,9 @@ class CoarseningJournal:
         self.path = Path(path)
         self.fingerprint = fingerprint
         self.batch_pairs = batch_pairs
-        self.errors = 0
         self.appended_pairs = 0
         self._buffer: List[List[int]] = []
-        self._fh: Optional[IO[str]] = None
+        self._log = SealedAppender(self.path)
         # Cumulative pair index of the next record to write.  Replay
         # sets it to the intact-prefix length, so appended records chain
         # onto the prefix even when the file has a corrupt middle.
@@ -281,35 +278,14 @@ class CoarseningJournal:
         self._seq = len(pairs)
         return pairs
 
+    @property
+    def errors(self) -> int:
+        """Appends that failed (I/O or encoding errors)."""
+        return self._log.errors
+
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
-    def _write_line(self, record: dict) -> None:
-        try:
-            line = json.dumps(seal(record)) + "\n"
-            if self._fh is None:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                torn_tail = False
-                try:
-                    if self.path.stat().st_size > 0:
-                        with open(self.path, "rb") as probe:
-                            probe.seek(-1, os.SEEK_END)
-                            torn_tail = probe.read(1) != b"\n"
-                except OSError:
-                    torn_tail = False
-                self._fh = open(self.path, "a")
-                if torn_tail:
-                    # A crash mid-write left a torn final line.  Close it
-                    # out so appended records stand on their own lines;
-                    # the fragment then fails its checksum and is skipped
-                    # on replay instead of corrupting our first record.
-                    self._fh.write("\n")
-            self._fh.write(line)
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-        except (OSError, TypeError, ValueError):
-            self.errors += 1
-
     def ensure_header(self) -> None:
         """Write the fingerprint header when starting a fresh file."""
         try:
@@ -318,7 +294,7 @@ class CoarseningJournal:
             exists = False
         if exists:
             return
-        self._write_line({
+        self._log.append({
             "type": "header",
             "kind": JOURNAL_KIND,
             "fingerprint": self.fingerprint,
@@ -334,7 +310,7 @@ class CoarseningJournal:
         """Write the buffered pairs as one sealed record."""
         if not self._buffer:
             return
-        self._write_line({
+        self._log.append({
             "type": "contractions",
             "seq": self._seq,
             "pairs": self._buffer,
@@ -346,12 +322,7 @@ class CoarseningJournal:
     def close(self) -> None:
         """Flush the tail batch and release the file handle."""
         self.flush()
-        if self._fh is not None:
-            try:
-                self._fh.close()
-            except OSError:
-                self.errors += 1
-            self._fh = None
+        self._log.close()
 
 
 class NLevelCoarsener:
@@ -630,7 +601,6 @@ def nlevel_coarsen(
         max_cluster_weight = (
             4.0 * graph.total_node_weight / max(target_nodes, 1)
         )
-    start = time.perf_counter()
     dyn = DynamicHypergraph(graph)
     mementos: List[Memento] = []
     journal: Optional[CoarseningJournal] = None
@@ -672,7 +642,6 @@ def nlevel_coarsen(
     if journal is not None:
         journal.close()
     stats: Dict[str, float] = {
-        "coarsen_seconds": time.perf_counter() - start,
         "contractions": float(coarsener.contractions),
         "ratings_updated": float(coarsener.ratings_updated),
         "rescued_nodes": float(coarsener.rescued_nodes),

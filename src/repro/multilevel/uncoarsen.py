@@ -30,7 +30,7 @@ from ..partition import (
     cut_cost,
     random_balanced_sides,
 )
-from ..telemetry.recorder import Recorder, resolve_recorder
+from ..telemetry import PhaseClock, Recorder, resolve_recorder
 from .coarsen import DEFAULT_MAX_NET_SIZE
 from .nlevel import (
     DEFAULT_SAMPLE_PINS,
@@ -38,16 +38,6 @@ from .nlevel import (
     Memento,
     nlevel_coarsen,
 )
-
-
-def _slackened(balance: BalanceConstraint, max_w: float) -> BalanceConstraint:
-    """Bounds slackened by one max-weight super-node (V-cycle convention:
-    coarse-level moves must stay feasible despite contracted weights)."""
-    return BalanceConstraint(
-        lo=max(0.0, balance.lo - max_w),
-        hi=min(balance.total, balance.hi + max_w),
-        total=balance.total,
-    )
 
 
 class UncoarsenState:
@@ -59,6 +49,10 @@ class UncoarsenState:
     *attached* net; pruned (detached single-pin) nets go stale while
     detached and have their counts rebuilt directly at uncontraction,
     when their full pin set — two nodes on one side — is known exactly.
+
+    Each batch's region refinement is timed as the ``local_refine`` phase
+    of ``clock`` (the n-level run's :class:`~repro.telemetry.PhaseClock`,
+    or a private one) and flushed under the batch ordinal.
     """
 
     def __init__(
@@ -67,13 +61,13 @@ class UncoarsenState:
         sides: List[int],
         balance: BalanceConstraint,
         max_net_size: int = DEFAULT_MAX_NET_SIZE,
-        recorder: Optional[Recorder] = None,
+        clock: Optional[PhaseClock] = None,
     ) -> None:
         self.dyn = dyn
         self.sides = sides
         self.balance = balance
         self.max_net_size = max_net_size
-        self.recorder = recorder
+        self.clock = PhaseClock(("local_refine",)) if clock is None else clock
         self.c0: List[int] = [0] * dyn.num_nets
         self.c1: List[int] = [0] * dyn.num_nets
         self.cut = 0.0
@@ -96,7 +90,6 @@ class UncoarsenState:
         self.uncontract_batches = 0
         self.region_moves = 0
         self.rebalance_moves = 0
-        self.local_refine_seconds = 0.0
 
     # ------------------------------------------------------------------
     # Exact incremental moves (Eqn. 1 gains from the side counts)
@@ -135,6 +128,18 @@ class UncoarsenState:
         self.sides[x] = 1 - s
         self.cut -= delta
         return delta
+
+    def _rerate_neighbors(self, pq: AddressablePriorityQueue, x: int) -> None:
+        """Re-key every still-queued pin of ``x``'s small nets by its
+        gain now that ``x`` has moved."""
+        dyn = self.dyn
+        for net in dyn.nets_of[x]:
+            net_pins = dyn.pins[net]
+            if not 2 <= len(net_pins) <= self.max_net_size:
+                continue
+            for y in net_pins:
+                if y in pq:
+                    pq.push(y, self._gain(y))
 
     # ------------------------------------------------------------------
     # Uncontraction
@@ -187,7 +192,7 @@ class UncoarsenState:
             return 0
         dyn = self.dyn
         max_w = max(dyn.node_weight[x] for x in region)
-        bounds = _slackened(self.balance, max_w)
+        bounds = self.balance.slackened(max_w)
         pq = AddressablePriorityQueue()
         for x in region:
             pq.push(x, self._gain(x))
@@ -209,14 +214,7 @@ class UncoarsenState:
             if cum > best + 1e-12:
                 best = cum
                 best_k = len(moves)
-            # Rerate the moved node's small-net neighbors still in play.
-            for net in dyn.nets_of[x]:
-                net_pins = dyn.pins[net]
-                if not 2 <= len(net_pins) <= self.max_net_size:
-                    continue
-                for y in net_pins:
-                    if y in pq:
-                        pq.push(y, self._gain(y))
+            self._rerate_neighbors(pq, x)
         for x in reversed(moves[best_k:]):
             self._apply_move(x)
         kept = best_k
@@ -256,13 +254,7 @@ class UncoarsenState:
                 continue  # would overshoot the heavy side below lo
             self._apply_move(x)
             moved += 1
-            for net in dyn.nets_of[x]:
-                net_pins = dyn.pins[net]
-                if not 2 <= len(net_pins) <= self.max_net_size:
-                    continue
-                for y in net_pins:
-                    if y in pq:
-                        pq.push(y, self._gain(y))
+            self._rerate_neighbors(pq, x)
         self.rebalance_moves += moved
         return moved
 
@@ -278,14 +270,9 @@ class UncoarsenState:
             for m in reversed(batch):
                 self._undo(m)
             if refine:
-                t0 = time.perf_counter()
-                self._refine_region(self._region(batch))
-                dt = time.perf_counter() - t0
-                self.local_refine_seconds += dt
-                if self.recorder is not None:
-                    self.recorder.span(
-                        self.uncontract_batches, "local_refine", dt
-                    )
+                with self.clock("local_refine"):
+                    self._refine_region(self._region(batch))
+                self.clock.flush(self.uncontract_batches)
             self.uncontract_batches += 1
             size *= 2
 
@@ -380,10 +367,9 @@ class NLevelPartitioner:
         if coarse.num_nodes < 2:
             return
         init = [state.sides[u] for u in reps]
-        max_w = max(coarse.node_weights)
         res = self.refiner.partition(
             coarse,
-            balance=_slackened(balance, max_w),
+            balance=balance.slackened(max(coarse.node_weights)),
             initial_sides=init,
             seed=seed,
         )
@@ -424,26 +410,32 @@ class NLevelPartitioner:
         rec = resolve_recorder(recorder)
         if rec is not None:
             rec.run_start(self.name, seed, graph.num_nodes, graph.num_nets)
+        # Run-scope phases are flushed as they end, under span index -1;
+        # uncoarsen contains every local_refine and stage_refine.
+        clock = PhaseClock(
+            ("coarsen", "uncoarsen", "local_refine", "stage_refine"), rec
+        )
 
         journal_kwargs = {}
         if self.journal_batch is not None:
             journal_kwargs["journal_batch"] = self.journal_batch
-        dyn, mementos, cstats = nlevel_coarsen(
-            graph,
-            target_nodes=self.coarsest_nodes,
-            rating=self.rating,
-            max_net_size=self.max_net_size,
-            sample_pins=self.sample_pins,
-            journal_path=self.coarsen_journal,
-            **journal_kwargs,
-        )
-        if rec is not None:
-            rec.span(-1, "coarsen", cstats["coarsen_seconds"])
+        with clock("coarsen"):
+            dyn, mementos, cstats = nlevel_coarsen(
+                graph,
+                target_nodes=self.coarsest_nodes,
+                rating=self.rating,
+                max_net_size=self.max_net_size,
+                sample_pins=self.sample_pins,
+                journal_path=self.coarsen_journal,
+                **journal_kwargs,
+            )
+        clock.flush(-1)
 
         # Partition the coarsest graph from several random starts.
         coarse, reps = dyn.snapshot()
-        max_w = max(coarse.node_weights) if coarse.num_nodes else 1.0
-        coarse_balance = _slackened(balance, max_w)
+        coarse_balance = balance.slackened(
+            max(coarse.node_weights, default=1.0)
+        )
         best_sides = None
         best_cut = float("inf")
         for i in range(self.coarsest_runs):
@@ -461,28 +453,25 @@ class NLevelPartitioner:
         for i, u in enumerate(reps):
             sides[u] = best_sides[i]
 
-        t_un = time.perf_counter()
-        state = UncoarsenState(
-            dyn, sides, balance, max_net_size=self.max_net_size, recorder=rec
-        )
         stage_refines = 0
-        stage_refine_seconds = 0.0
-        hi = len(mementos)
-        for lo in self._stage_boundaries(hi, coarse.num_nodes):
-            state.uncoarsen(mementos[lo:hi])
-            hi = lo
-            t_st = time.perf_counter()
-            self._stage_refine(
-                state, balance, base_seed + 7919 * (stage_refines + 1)
+        with clock("uncoarsen"):
+            state = UncoarsenState(
+                dyn, sides, balance, max_net_size=self.max_net_size,
+                clock=clock,
             )
-            dt = time.perf_counter() - t_st
-            stage_refine_seconds += dt
-            stage_refines += 1
-            if rec is not None:
-                rec.span(-1, "stage_refine", dt)
-        state.uncoarsen(mementos[:hi])
-        state.rebalance()
-        uncoarsen_seconds = time.perf_counter() - t_un
+            hi = len(mementos)
+            for lo in self._stage_boundaries(hi, coarse.num_nodes):
+                state.uncoarsen(mementos[lo:hi])
+                hi = lo
+                with clock("stage_refine"):
+                    self._stage_refine(
+                        state, balance, base_seed + 7919 * (stage_refines + 1)
+                    )
+                clock.flush(-1)
+                stage_refines += 1
+            state.uncoarsen(mementos[:hi])
+            state.rebalance()
+        clock.flush(-1)
 
         passes = state.uncontract_batches
         pass_cuts: List[float] = []
@@ -505,18 +494,15 @@ class NLevelPartitioner:
 
         stats: Dict[str, float] = {
             "coarsest_nodes": float(coarse.num_nodes),
-            "coarsen_seconds": cstats["coarsen_seconds"],
             "contractions": cstats["contractions"],
             "ratings_updated": cstats["ratings_updated"],
             "rescued_nodes": cstats["rescued_nodes"],
             "journal_replayed": cstats["journal_replayed"],
-            "uncoarsen_seconds": uncoarsen_seconds,
-            "local_refine_seconds": state.local_refine_seconds,
             "stage_refines": float(stage_refines),
-            "stage_refine_seconds": stage_refine_seconds,
             "uncontract_batches": float(state.uncontract_batches),
             "region_moves": float(state.region_moves),
             "rebalance_moves": float(state.rebalance_moves),
+            **clock.stats(),
         }
         stats.update(final_stats)
         result = BipartitionResult(

@@ -75,9 +75,13 @@ class MultilevelPartitioner:
         )
         levels = 0
 
-        # Partition the coarsest graph from several random starts.
+        # Partition the coarsest graph from several random starts.  Coarse
+        # bounds get one max-weight super-node of slack, so coarse-level
+        # moves stay feasible (weights grow with contraction).
         coarsest = hierarchy[-1].coarse if hierarchy else graph
-        coarse_balance = self._slackened(balance, coarsest)
+        coarse_balance = balance.slackened(
+            max(coarsest.node_weights, default=1.0)
+        )
         best_sides = None
         best_cut = float("inf")
         for i in range(self.coarsest_runs):
@@ -98,7 +102,8 @@ class MultilevelPartitioner:
             fine = graph if idx == 0 else hierarchy[idx - 1].coarse
             sides = hierarchy[idx].project_sides(sides)
             level_balance = (
-                balance if idx == 0 else self._slackened(balance, fine)
+                balance if idx == 0
+                else balance.slackened(max(fine.node_weights, default=1.0))
             )
             res = self.refiner.partition(
                 fine, balance=level_balance, initial_sides=sides,
@@ -121,15 +126,3 @@ class MultilevelPartitioner:
         result.verify(graph)
         return result
 
-    @staticmethod
-    def _slackened(
-        balance: BalanceConstraint, level_graph: Hypergraph
-    ) -> BalanceConstraint:
-        """Same absolute bounds, slackened by one max-weight super-node so
-        coarse-level moves stay feasible (weights grow with contraction)."""
-        max_w = max(level_graph.node_weights) if level_graph.num_nodes else 1.0
-        return BalanceConstraint(
-            lo=max(0.0, balance.lo - max_w),
-            hi=min(balance.total, balance.hi + max_w),
-            total=balance.total,
-        )

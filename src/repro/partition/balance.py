@@ -70,6 +70,16 @@ class BalanceConstraint:
         """The paper's 45-55% criterion."""
         return cls.from_fractions(graph, 0.45, 0.55)
 
+    def slackened(self, max_w: float) -> "BalanceConstraint":
+        """The same bounds widened by one super-node of weight ``max_w``
+        and clamped to ``[0, total]``: a coarse level's moves must stay
+        feasible although contraction made its nodes heavy."""
+        return BalanceConstraint(
+            lo=max(0.0, self.lo - max_w),
+            hi=min(self.total, self.hi + max_w),
+            total=self.total,
+        )
+
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------

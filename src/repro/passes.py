@@ -21,7 +21,10 @@ compute and update gains, so this module holds everything else:
 The sub-round engines (:mod:`repro.kernels.subround`) move whole batches
 inside a pass and bring their own ``run_pass``; they run under the same
 driver.  Anything with ``partition``, ``phases``, ``run_pass``,
-``run_stats`` and ``close`` as below is a pass engine.
+``run_stats`` and ``close`` as below is a pass engine.  The driver hands
+each engine the run's :class:`~repro.telemetry.PhaseClock` as
+``engine.clock``; the engine times its phases on it, and the driver
+emits them as the pass's spans once ``run_pass`` returns.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import Iterable, Optional, Tuple
 from .audit import AuditConfig, PassAuditor, resolve_audit
 from .datastructures import HeapGainContainer, PassJournal
 from .partition import BalanceConstraint, BipartitionResult, Partition
-from .telemetry import PassCounters, Recorder, resolve_recorder
+from .telemetry import PassCounters, PhaseClock, Recorder, resolve_recorder
 
 
 def pick_move(
@@ -69,6 +72,8 @@ class GainPolicy:
 
     #: Phases one pass reports, in span order (the driver adds rollback).
     phases: Tuple[str, ...] = ("gain_init", "move_loop")
+    #: The run's phase clock, set by :func:`run_passes`.
+    clock: PhaseClock
 
     def __init__(self, partition: Partition, csr=None) -> None:
         self.partition = partition
@@ -113,41 +118,41 @@ class GainPolicy:
         pass_index: int,
         auditor: Optional[PassAuditor],
         rec: Optional[Recorder],
-        phase: dict,
         counters: Optional[PassCounters],
     ) -> PassJournal:
         """One tentative-move pass; locks are left set.
 
-        ``rec`` is already resolved (enabled or ``None``); ``phase``
-        receives this pass's phase seconds by span name.
+        ``rec`` is already resolved (enabled or ``None``).
         """
         partition = self.partition
-        t0 = time.perf_counter()
-        containers = self.new_containers()
-        for v, key in enumerate(self.initial_keys()):
-            containers[partition.side(v)].insert(v, key)
-        t1 = time.perf_counter()
+        clock = self.clock
+        with clock("gain_init"):
+            containers = self.new_containers()
+            for v, key in enumerate(self.initial_keys()):
+                containers[partition.side(v)].insert(v, key)
 
         journal = PassJournal()
-        while True:
-            node = pick_move(containers, partition, balance)
-            if node is None:
-                break
-            from_side = partition.side(node)
-            key = containers[from_side].remove(node)
-            immediate = self.apply_move(node, from_side, containers, counters)
-            if rec is not None:
-                rec.move(
-                    pass_index, len(journal), node, from_side, key, immediate
+        with clock("move_loop"):
+            while True:
+                node = pick_move(containers, partition, balance)
+                if node is None:
+                    break
+                from_side = partition.side(node)
+                key = containers[from_side].remove(node)
+                immediate = self.apply_move(
+                    node, from_side, containers, counters
                 )
-                counters.moves += 1
-            journal.record(node, from_side, immediate)
-            if auditor is not None and auditor.after_move(
-                partition, node, immediate
-            ):
-                self.audit(auditor, containers)
-        phase["gain_init"] = t1 - t0
-        phase["move_loop"] = time.perf_counter() - t1
+                if rec is not None:
+                    rec.move(
+                        pass_index, len(journal), node, from_side, key,
+                        immediate,
+                    )
+                    counters.moves += 1
+                journal.record(node, from_side, immediate)
+                if auditor is not None and auditor.after_move(
+                    partition, node, immediate
+                ):
+                    self.audit(auditor, containers)
         return journal
 
 
@@ -169,7 +174,9 @@ def run_passes(
     ``audit`` ``None`` defers to ``REPRO_AUDIT``; time spent in audit
     hooks is excluded from ``runtime_seconds`` and reported as the
     ``audit_seconds`` stat.  ``start`` is the run's ``perf_counter``
-    origin.  The engine is closed however the run ends.
+    origin.  Phase seconds come from one :class:`PhaseClock`, which
+    feeds both the ``<phase>_seconds`` stats and the pass's spans.  The
+    engine is closed however the run ends.
     """
     partition = engine.partition
     graph = partition.graph
@@ -180,8 +187,7 @@ def run_passes(
         else None
     )
     rec = resolve_recorder(recorder)
-    totals = {f"{name}_seconds": 0.0 for name in engine.phases}
-    totals["rollback_seconds"] = 0.0
+    engine.clock = clock = PhaseClock(engine.phases + ("rollback",), rec)
     if rec is not None:
         rec.run_start(algorithm, seed, graph.num_nodes, graph.num_nets)
 
@@ -196,30 +202,22 @@ def run_passes(
             if auditor is not None:
                 auditor.start_pass(partition)
             counters = PassCounters() if rec is not None else None
-            phase: dict = {}
-            journal = engine.run_pass(
-                balance, passes, auditor, rec, phase, counters
-            )
-            for name, seconds in phase.items():
-                totals[f"{name}_seconds"] += seconds
-                if rec is not None:
-                    rec.span(passes, name, seconds)
+            journal = engine.run_pass(balance, passes, auditor, rec, counters)
+            clock.flush(passes)
             if rec is not None:
                 rec.counters(passes, counters.as_dict())
             total_moves += len(journal)
             p, gmax = journal.best_prefix()
             # Undo the tentative moves beyond the best prefix (last first).
-            rollback_start = time.perf_counter()
-            partition.unlock_all()
-            for record in reversed(journal.rolled_back_moves()):
-                partition.move(record.node)
-            rollback_seconds = time.perf_counter() - rollback_start
-            totals["rollback_seconds"] += rollback_seconds
+            with clock("rollback"):
+                partition.unlock_all()
+                for record in reversed(journal.rolled_back_moves()):
+                    partition.move(record.node)
             pass_cuts.append(partition.cut_cost)
             if auditor is not None:
                 auditor.after_rollback(partition, journal)
+            clock.flush(passes)
             if rec is not None:
-                rec.span(passes, "rollback", rollback_seconds)
                 rec.pass_end(
                     passes, partition.cut_cost, len(journal), p, gmax,
                     time.perf_counter() - pass_start,
@@ -232,7 +230,7 @@ def run_passes(
 
     elapsed = time.perf_counter() - start
     stats = {"tentative_moves": float(total_moves)}
-    stats.update(totals)
+    stats.update(clock.stats())
     stats.update(engine.run_stats())
     if auditor is not None:
         stats.update(auditor.summary())

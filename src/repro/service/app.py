@@ -302,6 +302,7 @@ class PartitionService:
         if self.watchdog is not None:
             self.watchdog.stop()
         self.journal.close()
+        self.quarantine.close()
 
     # ------------------------------------------------------------------
     # Client-facing operations (called from the event loop)

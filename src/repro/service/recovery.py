@@ -4,11 +4,13 @@ The engine's per-run journals make each job's *units* durable; this
 module makes the *job list itself* durable, so a killed server restarts
 knowing exactly which jobs existed and where each one stood.
 
-One append-only JSONL file at ``<cache_dir>/service/jobs.jsonl``, using
-the same hardening as the engine's run journals — every line sealed
-with the :mod:`repro.engine.records` checksum, written whole + flushed
-+ fsynced, read back through :func:`iter_journal_records` so torn final
-lines are skipped, later records win:
+One append-only JSONL file at ``<cache_dir>/service/jobs.jsonl``, written
+through the engine's :class:`~repro.engine.journal.SealedAppender` like
+the run journals — every line sealed with the :mod:`repro.engine.records`
+checksum, a torn final line closed out before the next append, each
+record written whole + flushed + fsynced — and read back through
+:func:`iter_journal_records` so torn lines are skipped, later records
+win:
 
 * ``{"kind": "job", "job_id", "seq", "spec": {...}}`` — accepted
   submission (written before the client sees 202);
@@ -25,14 +27,10 @@ from deterministic seeds).
 
 from __future__ import annotations
 
-import json
-import os
-import threading
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Dict, List
 
-from ..engine.journal import iter_journal_records
-from ..engine.records import seal
+from ..engine.journal import SealedAppender, iter_journal_records
 from .jobs import JOB_STATES, TERMINAL_STATES, Job, job_id_for
 from .schemas import JobSpec, SchemaError, parse_job_spec
 
@@ -45,25 +43,19 @@ def jobs_journal_path(cache_dir) -> Path:
     return Path(cache_dir) / SERVICE_SUBDIR / "jobs.jsonl"
 
 
-class ServiceJournal:
+class ServiceJournal(SealedAppender):
     """Append-only, checksum-sealed record of job submissions and states.
 
-    Thread-safe: the HTTP loop appends submissions while worker threads
-    append transitions.  Like the engine's :class:`RunJournal`, write
-    failures are counted, never raised — losing journal durability must
-    not take down live traffic (the next restart just sees less).
+    A :class:`SealedAppender`, so thread-safe: the HTTP loop appends
+    submissions while worker threads append transitions.  Like the
+    engine's :class:`RunJournal`, write failures are counted, never
+    raised — losing journal durability must not take down live traffic
+    (the next restart just sees less).
     """
-
-    def __init__(self, path: Path) -> None:
-        self.path = Path(path)
-        self.errors = 0
-        self.appended = 0
-        self._lock = threading.Lock()
-        self._fh = None
 
     def append_job(self, job: Job, seq: int) -> None:
         """Record an accepted submission (spec + submission ordinal)."""
-        self._append(
+        self.append(
             {
                 "kind": "job",
                 "job_id": job.job_id,
@@ -74,31 +66,7 @@ class ServiceJournal:
 
     def append_state(self, job_id: str, state: str) -> None:
         """Record one state transition."""
-        self._append({"kind": "state", "job_id": job_id, "state": state})
-
-    def _append(self, record: Dict[str, Any]) -> None:
-        line = json.dumps(seal(record), sort_keys=True) + "\n"
-        with self._lock:
-            try:
-                if self._fh is None:
-                    self.path.parent.mkdir(parents=True, exist_ok=True)
-                    self._fh = open(self.path, "a")
-                self._fh.write(line)
-                self._fh.flush()
-                os.fsync(self._fh.fileno())
-                self.appended += 1
-            except (OSError, ValueError):
-                self.errors += 1
-
-    def close(self) -> None:
-        """Close the file handle; later appends transparently reopen."""
-        with self._lock:
-            if self._fh is not None:
-                try:
-                    self._fh.close()
-                except OSError:  # pragma: no cover - close failure
-                    pass
-                self._fh = None
+        self.append({"kind": "state", "job_id": job_id, "state": state})
 
 
 class RecoveredState:

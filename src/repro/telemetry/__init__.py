@@ -19,11 +19,14 @@ Guarantees:
   ``BipartitionResult.stats`` (:data:`PHASE_STAT_KEYS`) on every run,
   recorder or not, and from there flow into cache records, engine run
   journals, :class:`~repro.multirun.MultiRunResult` and sweep points.
+  One :class:`PhaseClock` times each phase once and feeds both the stat
+  ``x_seconds`` and the span ``x``.
 
 See ``docs/observability.md`` for the trace schema and CLI usage
 (``repro trace summarize``).
 """
 
+from .clock import PhaseClock
 from .events import (
     ENSEMBLE_COUNTER_KEYS,
     GUARD_COUNTER_KEYS,
@@ -33,6 +36,7 @@ from .events import (
     PHASE_STAT_KEYS,
     SpanEvent,
     collect_phase_seconds,
+    phase_stat_key,
 )
 from .recorder import (
     NULL_RECORDER,
@@ -62,6 +66,8 @@ __all__ = [
     "PassEvent",
     "PassCounters",
     "collect_phase_seconds",
+    "phase_stat_key",
+    "PhaseClock",
     "Recorder",
     "NullRecorder",
     "NULL_RECORDER",

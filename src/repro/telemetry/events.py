@@ -19,7 +19,8 @@ as a stream of typed events delivered to a
   with the final stats.
 
 Phase seconds also flow into ``BipartitionResult.stats`` under the
-:data:`PHASE_STAT_KEYS` names, whether or not a recorder is attached, so
+:data:`PHASE_STAT_KEYS` names (span ``x`` is stat ``x_seconds``,
+:func:`phase_stat_key`), whether or not a recorder is attached, so
 aggregation (:func:`collect_phase_seconds`) works on cached results, run
 journals and multi-run aggregates alike.
 """
@@ -29,9 +30,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping
 
-#: ``BipartitionResult.stats`` keys holding per-phase wall-clock seconds.
-#: ``bootstrap``/``refine`` are PROP-only (Fig. 2 steps 3-4); ``gain_init``
-#: is the FM/LA container build; ``audit_seconds`` is the time spent in
+
+def phase_stat_key(name: str) -> str:
+    """The ``stats`` key of phase (span) ``name``: ``<name>_seconds``."""
+    return f"{name}_seconds"
+
+
+#: ``BipartitionResult.stats`` keys holding per-phase wall-clock seconds,
+#: all timed by :class:`repro.telemetry.PhaseClock`.  ``bootstrap``/
+#: ``refine`` are PROP-only (Fig. 2 steps 3-4); ``gain_init`` is the
+#: FM/LA container build; ``audit_seconds`` is the time spent in
 #: :mod:`repro.audit` hooks (excluded from ``runtime_seconds``).
 PHASE_STAT_KEYS = (
     "bootstrap_seconds",
@@ -41,7 +49,8 @@ PHASE_STAT_KEYS = (
     "rollback_seconds",
     "audit_seconds",
     # n-level engine phases (repro.multilevel.uncoarsen): PQ coarsening,
-    # batched region-local refinement, interleaved full stage refines.
+    # uncoarsening, which contains the batched region-local refinement
+    # and the interleaved full stage refines.
     "coarsen_seconds",
     "uncoarsen_seconds",
     "local_refine_seconds",

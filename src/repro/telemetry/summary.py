@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from ..engine.journal import iter_journal_records
-from .events import collect_phase_seconds
+from .events import collect_phase_seconds, phase_stat_key
 
 
 def _fmt_seconds(seconds: float) -> str:
@@ -98,21 +98,13 @@ class TraceSummary:
         return "\n".join(lines)
 
 
-#: ``span`` event names → the ``stats`` phase keys they aggregate under.
-_SPAN_TO_PHASE = {
-    "bootstrap": "bootstrap_seconds",
-    "refine": "refine_seconds",
-    "gain_init": "gain_init_seconds",
-    "move_loop": "move_loop_seconds",
-    "rollback": "rollback_seconds",
-}
-
-
 def summarize_trace(path: str) -> TraceSummary:
     """Aggregate a :class:`TraceRecorder` JSONL file per algorithm.
 
-    Unparseable lines (a torn tail after a crash) are skipped, matching
-    the tolerance of the engine's journal reader.
+    Span ``x`` aggregates under the stats key ``x_seconds``, so the
+    phase totals read like the runs' ``stats``.  Unparseable lines (a
+    torn tail after a crash) are skipped, matching the tolerance of the
+    engine's journal reader.
     """
     summary = TraceSummary(path=str(path))
     run_algorithm: Dict[int, str] = {}
@@ -144,9 +136,7 @@ def summarize_trace(path: str) -> TraceSummary:
                 name, AlgorithmTrace(algorithm=name)
             )
             if kind == "span":
-                key = _SPAN_TO_PHASE.get(
-                    str(event.get("name", "")), str(event.get("name", ""))
-                )
+                key = phase_stat_key(str(event.get("name", "")))
                 agg.phase_seconds[key] = (
                     agg.phase_seconds.get(key, 0.0)
                     + float(event.get("seconds", 0.0))

@@ -209,16 +209,19 @@ class TestReplayEdgeCases:
         assert len(records) == 1
         assert next(iter(records.values()))["seconds"] == 123.0
 
-    def test_torn_final_line_then_resume_completes(self, tmp_path):
+    @pytest.mark.parametrize("tail", ["\n", ""], ids=["newline", "bare"])
+    def test_torn_final_line_then_resume_completes(self, tmp_path, tail):
         first = _engine(tmp_path)
         units = _units()
         baseline = first.run(units, run_id="torn")
         path = journal_path(first.journal_root(), "torn")
         lines = path.read_text().splitlines()
         # Keep header + 2 whole units, then a torn third: the crash hit
-        # mid-write.  The torn unit must be recomputed, not trusted.
+        # mid-write, before or after the fragment's newline.  The torn
+        # unit must be recomputed, not trusted, and must not swallow the
+        # first record the resume appends after it.
         torn = lines[3][: len(lines[3]) // 2]
-        path.write_text("\n".join(lines[:3] + [torn]) + "\n")
+        path.write_text("\n".join(lines[:3] + [torn]) + tail)
 
         second = _engine(tmp_path)
         resumed = second.run(units, run_id="torn", resume=True)

@@ -126,6 +126,19 @@ def test_journal_failures_count_but_never_raise(tmp_path):
     assert reg.journal_errors > 0
 
 
+def test_strike_after_torn_journal_line_counts(tmp_path):
+    registry(tmp_path).record_strike(FP, "failed", job_id="j1")
+    # A crash mid-append left half a strike line, without its newline.
+    path = registry(tmp_path).journal_path
+    whole = path.read_text(encoding="utf-8")
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(whole[: len(whole) // 2])
+    restarted = registry(tmp_path)
+    assert restarted.strikes(FP) == 1
+    restarted.record_strike(FP, "failed", job_id="j2")
+    assert registry(tmp_path).strikes(FP) == 2
+
+
 def test_snapshot_counts(tmp_path):
     reg = registry(tmp_path, quarantine_after=2)
     reg.record_strike(FP, "failed")

@@ -30,7 +30,6 @@ from repro.multilevel import (
     coarsening_fingerprint,
     nlevel_coarsen,
 )
-from repro.multilevel.uncoarsen import _slackened
 from repro.partition import (
     BalanceConstraint,
     cut_cost,
@@ -474,5 +473,5 @@ def test_property_coarsening_is_deterministic(graph):
 
 def test_slackened_clamps_to_physical_bounds():
     b = BalanceConstraint(lo=4.0, hi=6.0, total=10.0)
-    s = _slackened(b, 5.0)
+    s = b.slackened(5.0)
     assert s.lo == 0.0 and s.hi == 10.0 and s.total == 10.0

@@ -98,6 +98,22 @@ def test_torn_final_line_is_dropped(tmp_path):
     assert state.total == 2  # both jobs intact, fragment ignored
 
 
+def test_append_after_torn_final_line_survives(tmp_path):
+    jobs = write_history(tmp_path, [["queued", "running"]])
+    path = jobs_journal_path(tmp_path)
+    # A crash mid-append left a fragment without its newline; the
+    # restarted service's first transition must not fuse with it.
+    with open(path, "a") as fh:
+        fh.write('{"kind": "state", "job_id": "j0000')
+    journal = ServiceJournal(path)
+    journal.append_state(jobs[0].job_id, "done")
+    journal.close()
+    assert journal.errors == 0
+    state = recover(tmp_path)
+    assert [j.state for j in state.finished] == ["done"]
+    assert not state.pending
+
+
 def test_checksum_failing_line_is_dropped(tmp_path):
     jobs = write_history(tmp_path, [["queued", "running", "done"]])
     path = jobs_journal_path(tmp_path)

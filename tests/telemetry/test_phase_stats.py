@@ -1,17 +1,85 @@
 """Phase timing in result stats, audit_seconds, and harness aggregation."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.baselines import FMPartitioner, LAPartitioner
 from repro.core import PropPartitioner
 from repro.hypergraph import make_benchmark
+from repro.multilevel import NLevelPartitioner
 from repro.multirun import run_many
-from repro.telemetry import PHASE_STAT_KEYS, collect_phase_seconds
+from repro.telemetry import (
+    PHASE_STAT_KEYS,
+    MemoryRecorder,
+    TraceRecorder,
+    collect_phase_seconds,
+    phase_stat_key,
+    summarize_trace,
+)
 
 
 @pytest.fixture(scope="module")
 def graph():
     return make_benchmark("t5", scale=0.05)
+
+
+def _load_pass_contract():
+    """``tests/core/test_pass_contract.py``, loaded by path (the test
+    tree is not a package) for its ``CASES`` and ``record`` runner."""
+    path = Path(__file__).resolve().parents[1] / "core"
+    spec = importlib.util.spec_from_file_location(
+        "_pass_contract", path / "test_pass_contract.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_PASS_CONTRACT = _load_pass_contract()
+
+
+def assert_stats_sum_spans(stats, spans):
+    """Every phase stat is exactly the sum, in emission order, of that
+    run's spans of the same phase (and every span has its stat)."""
+    sums = {}
+    for span in spans:
+        key = phase_stat_key(span.name)
+        sums[key] = sums.get(key, 0.0) + span.seconds
+    phases = collect_phase_seconds(stats)
+    phases.pop("audit_seconds", None)
+    assert phases
+    assert set(sums) <= set(phases)
+    for key, seconds in phases.items():
+        assert seconds == sums.get(key, 0.0), key
+
+
+class TestStatsMatchTrace:
+    @pytest.mark.parametrize("case", sorted(_PASS_CONTRACT.CASES))
+    def test_pass_engine_stats_sum_spans(self, case):
+        result, rec = _PASS_CONTRACT.record(case)
+        assert_stats_sum_spans(result.stats, rec.spans)
+
+    def test_nlevel_stats_sum_spans(self, graph):
+        rec = MemoryRecorder()
+        result = NLevelPartitioner().partition(graph, seed=0, recorder=rec)
+        names = {span.name for span in rec.spans}
+        assert {"coarsen", "uncoarsen", "local_refine"} <= names
+        assert_stats_sum_spans(result.stats, rec.spans)
+
+    def test_nlevel_trace_summary_reads_like_stats(self, graph, tmp_path):
+        path = str(tmp_path / "nlevel.jsonl")
+        with TraceRecorder(path) as rec:
+            result = NLevelPartitioner().partition(
+                graph, seed=0, recorder=rec
+            )
+        traced = summarize_trace(path).algorithms["NLEVEL"].phase_seconds
+        stats = collect_phase_seconds(result.stats)
+        assert traced
+        for key, seconds in traced.items():
+            assert key in stats, key
+            assert stats[key] == seconds, key
 
 
 class TestPhaseStats:
