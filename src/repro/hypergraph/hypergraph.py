@@ -20,6 +20,7 @@ construction, or the generator functions in
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 
@@ -142,6 +143,8 @@ class Hypergraph:
                 f"{label} has length {len(out)}, expected {expected_len}"
             )
         for i, v in enumerate(out):
+            if not math.isfinite(v):
+                raise HypergraphError(f"{label}[{i}] = {v} is not finite")
             if v < 0:
                 raise HypergraphError(f"{label}[{i}] = {v} is negative")
         return out

@@ -22,10 +22,12 @@ Schlag et al. (*n-Level Hypergraph Partitioning*, see PAPERS.md):
 Determinism contract (docs/multilevel.md): coarsening is a pure function
 of ``(graph, target_nodes, rating, max_net_size, max_cluster_weight,
 sample_pins)`` — no seeds, no wall-clock, no iteration over
-unordered containers.  After every contraction the ratings of the entire
-affected neighborhood are recomputed *eagerly*, so the queue never holds
-a stale entry and its pop order — total order on ``(-rating, node)`` —
-depends only on the current dynamic graph, never on update history.
+unordered containers.  After every contraction the entries of the entire
+affected neighborhood are updated *eagerly*, each to exactly what a
+from-scratch rating would give (only the partners the contraction can
+change are re-summed).  So the queue never holds a stale entry, and its
+pop order — total order on ``(-rating, node)`` — depends only on the
+current dynamic graph, never on update history.
 That is what makes a journal-resumed coarsening bit-identical to an
 uninterrupted one: replay reapplies the journaled pairs mechanically,
 the queue is rebuilt from the resulting state, and the continuation
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import hashlib
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Collection, Dict, List, Optional, Tuple
 
 from ..datastructures import AddressablePriorityQueue
 from ..engine.journal import SealedAppender, iter_journal_records
@@ -51,6 +53,11 @@ JOURNAL_KIND = "nlevel-coarsen"
 #: line-atomic append (write+flush+fsync), so a crash loses at most the
 #: unflushed tail of one batch — which resume simply re-derives.
 DEFAULT_JOURNAL_BATCH = 4096
+
+#: Largest candidate set whose ratings are summed one partner at a time
+#: (a membership test per net) rather than in one pass over the nets'
+#: pins; four was the fastest cut-over on dense and sparse instances.
+_PER_CANDIDATE_PASSES = 4
 
 
 class Memento:
@@ -368,6 +375,9 @@ class NLevelCoarsener:
         # is rerated independently from pure graph state), so its
         # history-dependent iteration order cannot leak into results.
         self._targets: Dict[int, Dict[int, None]] = {}
+        # Per-net rating term (see _term), built by _rebuild_queue and
+        # refreshed for every contraction's shrunk and pruned nets.
+        self._terms: List[Optional[float]] = []
         self.contractions = 0
         self.ratings_updated = 0
         self.rescued_nodes = 0
@@ -375,29 +385,58 @@ class NLevelCoarsener:
     # ------------------------------------------------------------------
     # Rating
     # ------------------------------------------------------------------
-    def _best_partner(self, u: int) -> Optional[Tuple[float, int]]:
+    def _term(self, net: int) -> Optional[float]:
+        """``net``'s rating term for each pair of its pins —
+        ``c/(|net|-1)``, or ``c`` under ``rating="uniform"`` — or None
+        when the net is out of range (fewer than 2 or more than
+        ``max_net_size`` pins)."""
+        q = len(self.dyn.pins[net])
+        if q < 2 or q > self.max_net_size:
+            return None
+        cost = self.dyn.net_cost[net]
+        return cost / (q - 1) if self.rating == "heavy-edge" else cost
+
+    def _best_partner(
+        self, u: int, cands: Optional[Collection[int]] = None
+    ) -> Optional[Tuple[float, int]]:
         """Highest-rated weight-feasible partner of ``u`` over its small
-        nets, or None.  Ties break toward the smaller partner id."""
+        nets, or None.  Ties break toward the smaller partner id.
+
+        Each rating is summed over ``nets_of[u]`` in order, so it is the
+        same float whichever partners are rated: every co-pin, or only
+        the partners in ``cands`` (which must not contain ``u``).  Up to
+        ``_PER_CANDIDATE_PASSES`` candidates — most rerates after a
+        contraction have one — are summed one at a time, a pass over
+        ``nets_of[u]`` each."""
         dyn = self.dyn
         pins = dyn.pins
-        net_cost = dyn.net_cost
-        heavy = self.rating == "heavy-edge"
-        max_q = self.max_net_size
-        wu = dyn.node_weight[u]
+        terms = self._terms
+        nets = dyn.nets_of[u]
         affinity: Dict[int, float] = {}
-        get = affinity.get
-        for net in dyn.nets_of[u]:
-            net_pins = pins[net]
-            q = len(net_pins)
-            if q < 2 or q > max_q:
-                continue
-            w = net_cost[net] / (q - 1) if heavy else net_cost[net]
-            for v in net_pins:
-                if v != u:
-                    affinity[v] = get(v, 0.0) + w
+        if cands is not None and len(cands) <= _PER_CANDIDATE_PASSES:
+            for v in cands:
+                r = 0.0
+                shared = False
+                for net in nets:
+                    if v in pins[net]:
+                        t = terms[net]
+                        if t is not None:
+                            r += t
+                            shared = True
+                if shared:
+                    affinity[v] = r
+        else:
+            get = affinity.get
+            for net in nets:
+                t = terms[net]
+                if t is not None:
+                    for v in pins[net]:
+                        if v != u and (cands is None or v in cands):
+                            affinity[v] = get(v, 0.0) + t
         best_v = -1
         best_r = 0.0
         node_weight = dyn.node_weight
+        wu = node_weight[u]
         cap = self.max_cluster_weight
         for v, r in affinity.items():
             if wu + node_weight[v] > cap:
@@ -409,9 +448,11 @@ class NLevelCoarsener:
             return None
         return best_r, best_v
 
-    def _update_node(self, u: int) -> None:
-        best = self._best_partner(u)
-        old = self.pq.payload(u) if u in self.pq else None
+    def _requeue(
+        self, u: int, best: Optional[Tuple[float, int]], old: Optional[int]
+    ) -> None:
+        """Make ``best`` (``(rating, partner)`` or None) ``u``'s entry;
+        ``old`` is ``u``'s queued partner, or None."""
         if best is None:
             if old is not None:
                 self._targets[old].pop(u, None)
@@ -425,46 +466,124 @@ class NLevelCoarsener:
             self.pq.push(u, rating, partner)
         self.ratings_updated += 1
 
-    def _update_region(self, m: Memento) -> None:
-        """Eagerly rerate the exact affected set of contraction ``m``.
+    def _update_node(self, u: int) -> None:
+        """Rerate ``u`` in full, over every co-pin."""
+        pq = self.pq
+        self._requeue(
+            u, self._best_partner(u), pq.payload(u) if u in pq else None
+        )
 
-        Sufficiency: a rating term changes only through a net whose size
-        or membership changed — those are precisely the memento's nets,
-        and net sizes never grow, so an oversized net stays rating-inert
-        unless it shrank into range (again a memento net).  Feasibility
-        only worsens (weights only grow, and only ``u``'s grew), so a
-        node's cached best can be invalidated only when that best *is*
-        ``u`` (now heavier) or ``v`` (now dead) — the reverse-index
-        sets.  Everything else keeps a valid, unchanged entry.
+    def _rerate(self, w: int, v: int, cands: Collection[int]) -> None:
+        """Rerate ``w`` after contracting ``v`` into ``u`` over the
+        candidate partners ``cands`` only: ``u`` and the pins of ``w``'s
+        in-range shrunk nets, ``w`` excluded (see :meth:`_update_region`)."""
+        pq = self.pq
+        best = self._best_partner(w, cands)
+        if w not in pq:
+            self._requeue(w, best, None)
+            return
+        old = (pq.priority(w), pq.payload(w))
+        if best is None or (best[0], -best[1]) < (old[0], -old[1]):
+            if old[1] not in cands and old[1] != v:
+                # The incumbent's rating and feasibility are unchanged,
+                # and it beats every candidate and unchanged partner.
+                best = old
+            else:
+                # The heir rule failed: an unchanged partner may win.
+                best = self._best_partner(w)
+        self._requeue(w, best, old[1])
+
+    def _update_region(self, m: Memento) -> None:
+        """Rerate the exact affected set of contraction ``m`` (v into u).
+
+        *Who is affected.*  A rating term changes only through a net
+        whose size or membership changed — precisely the memento's nets
+        — and net sizes never grow, so an oversized net stays
+        rating-inert unless it shrank into range (again a memento net).
+        Feasibility only worsens (weights only grow, and only ``u``'s
+        grew), so a node's entry can be invalidated only when its
+        partner *is* ``u`` (now heavier) or ``v`` (now dead) — the
+        reverse-index sets.  Everything else keeps a valid entry.
+
+        *Candidate rerate.*  ``u`` is rerated in full.  Any other
+        affected ``w`` re-sums ``r(w, x)`` only for ``x`` in ``{u} ∪
+        G_w``, where ``G_w`` are the pins of ``w``'s in-range shrunk
+        nets, in ``nets_of[w]`` order — the same floats a full rerate
+        computes.  That is exact because of four facts:
+
+        * *Unchanged partners.*  For ``x ∉ {u, v} ∪ G_w``, ``w``'s terms
+          toward ``x`` come from the same nets, in the same order, with
+          the same values: ``nets_of[w]`` changes only for ``w = u`` (a
+          pruned net's last pin is always ``u``); replaced nets keep
+          their size; and a shrunk net that is out of range stays out
+          of range unless it has just entered the range, and then its
+          pins are in ``G_w``.
+        * *Growth only.*  For ``x ∈ G_w ∪ {u}``, ``r(w, x)`` can only
+          grow: terms grow or appear and never shrink, because costs
+          are ≥ 0 and IEEE division and addition are monotone.  So an
+          incumbent whose own rating grew still beats every unchanged
+          ``x``.
+        * *Feasibility.*  Only pairs that include ``u`` can change
+          feasibility, because only ``u``'s weight grew.
+        * *The heir rule.*  If ``w``'s partner was ``v``, then
+          ``r(w, u)`` now is at least ``r(w, v)`` before.  But an
+          unchanged ``x`` tied at the old key with ``x < u`` must still
+          win.  So the candidate winner is accepted only if it beats the
+          old ``(key, v)`` in the queue's order (a strictly higher
+          rating, or an equal one with id ``< v``); otherwise ``w`` is
+          rerated in full.  The same test covers a partner ``u`` that
+          is now over the weight cap.
+
+        An incumbent outside ``{u, v} ∪ G_w`` stays unless a candidate
+        beats it.  The terms of the shrunk and pruned nets are refreshed
+        first; replaced nets keep theirs.
         """
         dyn = self.dyn
         pins = dyn.pins
-        max_q = self.max_net_size
-        affected: Dict[int, None] = {m.u: None}
-        for net_list in (m.shrunk, m.replaced):
-            for net in net_list:
+        terms = self._terms
+        for net in m.shrunk:
+            terms[net] = self._term(net)
+        for net, _last in m.pruned:
+            terms[net] = None
+        u = m.u
+        affected: Dict[int, None] = {u: None}
+        # Candidate partners of each pin of an in-range shrunk net.
+        grown: Dict[int, Dict[int, None]] = {}
+        for net in m.shrunk:
+            if terms[net] is not None:
                 net_pins = pins[net]
-                q = len(net_pins)
-                if 2 <= q <= max_q:
-                    affected.update(dict.fromkeys(net_pins))
+                affected.update(net_pins)
+                for w in net_pins:
+                    cands = grown.get(w)
+                    if cands is None:
+                        grown[w] = cands = {}
+                    cands.update(net_pins)
+        for w, cands in grown.items():
+            del cands[w]
+        for net in m.replaced:
+            if terms[net] is not None:
+                affected.update(pins[net])
         node_weight = dyn.node_weight
         cap = self.max_cluster_weight
-        stale = self._targets.get(m.u)
+        stale = self._targets.get(u)
         if stale:
             # Nodes whose cached best is u keep a valid entry unless the
             # pair outgrew the cap (their rating toward u via unmodified
             # nets is unchanged; modified-net pins are covered above).
-            wu = node_weight[m.u]
+            wu = node_weight[u]
             for w in stale:
                 if wu + node_weight[w] > cap:
                     affected[w] = None
         stale = self._targets.get(m.v)
         if stale:
-            affected.update(dict.fromkeys(stale))
+            affected.update(stale)
         alive = dyn.alive
+        only_u = (u,)
         for w in affected:
-            if alive[w]:
+            if w == u:
                 self._update_node(w)
+            elif alive[w]:
+                self._rerate(w, m.v, grown.get(w, only_u))
         self._targets.pop(m.v, None)
 
     # ------------------------------------------------------------------
@@ -487,6 +606,7 @@ class NLevelCoarsener:
         self.pq = AddressablePriorityQueue()
         self._targets = {}
         dyn = self.dyn
+        self._terms = [self._term(net) for net in range(dyn.num_nets)]
         for u in range(len(dyn.alive)):
             if dyn.alive[u]:
                 self._update_node(u)

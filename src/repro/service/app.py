@@ -52,7 +52,7 @@ from ..guard import (
     quarantine_dir,
 )
 from ..telemetry import GUARD_COUNTER_KEYS, CallbackRecorder
-from .jobs import JOB_STATES, Job, job_id_for
+from .jobs import JOB_STATES, TERMINAL_STATES, Job, job_id_for
 from .queue import FairQueue, QueueClosed, QueueFull
 from .recovery import ServiceJournal, jobs_journal_path, recover
 from .schemas import JobSpec, SchemaError, build_graph, build_units, parse_job_spec
@@ -188,6 +188,9 @@ class PartitionService:
         self.recovered_jobs = 0
         self._seq = 0
         self._workers: List[asyncio.Task] = []
+        # In-flight settles by job id (see _finish); stop() waits for
+        # them instead of cancelling them.
+        self._settles: Dict[str, asyncio.Task] = {}
         self._started = False
 
     # ------------------------------------------------------------------
@@ -280,7 +283,9 @@ class PartitionService:
 
         Running engine batches are cancelled cooperatively (their
         completed units are already journalled) — this is the same path
-        a SIGTERM takes, and recovery owns whatever is left.
+        a SIGTERM takes, and recovery owns whatever is left.  A settle
+        that has begun runs to its end first, so its terminal state is
+        journalled.
         """
         await self.queue.close()
         for job in self.jobs.values():
@@ -294,6 +299,10 @@ class PartitionService:
             except asyncio.CancelledError:
                 pass
         self._workers.clear()
+        if self._settles:
+            await asyncio.gather(
+                *self._settles.values(), return_exceptions=True
+            )
         if self.bus is not None:
             # End every open SSE stream: jobs that will never reach a
             # terminal state in this process must not hold connection
@@ -715,25 +724,50 @@ class PartitionService:
         was_queued: bool = False,
         count_strike: bool = True,
     ) -> None:
-        if not job.transition(state):
+        """Settle ``job`` in the terminal ``state`` (no-op when the job
+        is already terminal or settling).
+
+        The state is in the jobs journal before the job shows it, so a
+        restart never sees less than a caller did.  The settle runs as
+        its own task: cancelling the caller (as :meth:`stop` cancels the
+        workers) does not cut it short, and :meth:`stop` waits for it.
+        """
+        if state not in TERMINAL_STATES:
+            raise ValueError(f"not a terminal job state: {state!r}")
+        if job.terminal or job.job_id in self._settles:
             return
-        self.admission.note_finished(job.spec.tenant, was_queued=was_queued)
+        settle = asyncio.ensure_future(
+            self._settle(job, state, was_queued, count_strike)
+        )
+        self._settles[job.job_id] = settle
+        await asyncio.shield(settle)
+
+    async def _settle(
+        self, job: Job, state: str, was_queued: bool, count_strike: bool
+    ) -> None:
         if state == "deadline":
             self.guard_counters["deadline_expired"] += 1
+        try:
+            if count_strike and self.config.quarantine_after > 0:
+                if state == "done":
+                    await asyncio.to_thread(
+                        self.quarantine.record_success, job.spec.fingerprint()
+                    )
+                elif state in ("failed", "deadline"):
+                    await asyncio.to_thread(
+                        self._record_strike, job, state, job.error or ""
+                    )
+            await asyncio.to_thread(
+                self.journal.append_state, job.job_id, state
+            )
+            job.transition(state)
+        finally:
+            del self._settles[job.job_id]
+        self.admission.note_finished(job.spec.tenant, was_queued=was_queued)
         if job.started_at is not None and job.finished_at is not None:
             self.admission.service_times.observe(
                 job.finished_at - job.started_at
             )
-        if count_strike and self.config.quarantine_after > 0:
-            if state == "done":
-                await asyncio.to_thread(
-                    self.quarantine.record_success, job.spec.fingerprint()
-                )
-            elif state in ("failed", "deadline"):
-                await asyncio.to_thread(
-                    self._record_strike, job, state, job.error or ""
-                )
-        await asyncio.to_thread(self.journal.append_state, job.job_id, state)
         self._publish_state(job)
         self._evict_history()
 

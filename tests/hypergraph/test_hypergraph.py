@@ -4,6 +4,8 @@ import pytest
 
 from repro.hypergraph import Hypergraph, HypergraphError, clique_edges
 
+NON_FINITE = [float("nan"), float("inf"), -float("inf")]
+
 
 class TestConstruction:
     def test_basic_counts(self, tiny_graph):
@@ -73,6 +75,28 @@ class TestCostsAndWeights:
     def test_negative_cost_rejected(self):
         with pytest.raises(HypergraphError, match="negative"):
             Hypergraph([[0, 1]], net_costs=[-1.0])
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_cost_rejected(self, bad):
+        with pytest.raises(HypergraphError, match=r"costs\[1\].*not finite"):
+            Hypergraph([[0, 1], [1, 2]], net_costs=[1.0, bad])
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_cost_rejected_by_with_net_costs(self, bad):
+        hg = Hypergraph([[0, 1], [1, 2]])
+        with pytest.raises(HypergraphError, match="not finite"):
+            hg.with_net_costs([bad, 1.0])
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_node_weight_rejected(self, bad):
+        with pytest.raises(HypergraphError, match=r"weights\[0\].*not finite"):
+            Hypergraph([[0, 1]], node_weights=[bad, 1.0])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_node_weight_rejected_by_with_node_weights(self, bad):
+        hg = Hypergraph([[0, 1]])
+        with pytest.raises(HypergraphError, match="not finite"):
+            hg.with_node_weights([1.0, bad])
 
     def test_node_weights(self):
         hg = Hypergraph([[0, 1]], node_weights=[2.0, 3.0])

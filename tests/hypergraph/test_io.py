@@ -91,6 +91,18 @@ class TestHgr:
         with pytest.raises(HypergraphError, match="fmt"):
             nio.read_hgr(path)
 
+    @pytest.mark.parametrize("text", [
+        "1 2 1\nnan 1 2\n",      # net cost
+        "1 2 1\ninf 1 2\n",
+        "1 2 10\n1 2\n1\nnan\n",  # node weight
+        "1 2 10\n1 2\ninf\n1\n",
+    ])
+    def test_non_finite_value_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.hgr"
+        path.write_text(text)
+        with pytest.raises(HypergraphError, match="not finite"):
+            nio.read_hgr(path)
+
 
 class TestNetlist:
     def test_roundtrip_named(self, tmp_path):
@@ -138,6 +150,18 @@ class TestNetlist:
         with pytest.raises(HypergraphError, match="COST"):
             nio.read_netlist(path)
 
+    @pytest.mark.parametrize("text", [
+        "NET n1 COST nan a b\n",
+        "NET n1 COST inf a b\n",
+        "NODE a nan\nNET n1 a b\n",
+        "NODE a inf\nNET n1 a b\n",
+    ])
+    def test_non_finite_value_rejected(self, tmp_path, text):
+        path = tmp_path / "g.net"
+        path.write_text(text)
+        with pytest.raises(HypergraphError, match="not finite"):
+            nio.read_netlist(path)
+
 
 class TestJson:
     def test_roundtrip(self, tmp_path):
@@ -152,6 +176,20 @@ class TestJson:
         path = tmp_path / "g.json"
         path.write_text('{"nets": [[0, 1]]}')
         with pytest.raises(HypergraphError, match="missing field"):
+            nio.read_json(path)
+
+    @pytest.mark.parametrize("field,value", [
+        ("net_costs", "[NaN]"),
+        ("net_costs", "[Infinity]"),
+        ("node_weights", "[1.0, NaN]"),
+        ("node_weights", "[Infinity, 1.0]"),
+    ])
+    def test_non_finite_value_rejected(self, tmp_path, field, value):
+        path = tmp_path / "g.json"
+        path.write_text(
+            '{"nets": [[0, 1]], "num_nodes": 2, "%s": %s}' % (field, value)
+        )
+        with pytest.raises(HypergraphError, match="not finite"):
             nio.read_json(path)
 
 

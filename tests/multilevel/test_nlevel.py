@@ -12,9 +12,13 @@ Three contracts from docs/multilevel.md are fenced here:
 3. **Exact incremental partition state** — :class:`UncoarsenState`'s
    cut/side-weight bookkeeping never drifts from the ground truth
    recomputed from scratch, with or without region refinement.
+4. **Exact incremental ratings** — after every contraction, each alive
+   node's queue entry is what a from-scratch rating gives, although the
+   coarsener re-sums only the partners the contraction can change.
 """
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -28,8 +32,10 @@ from repro.multilevel import (
     NLevelPartitioner,
     UncoarsenState,
     coarsening_fingerprint,
+    nlevel,
     nlevel_coarsen,
 )
+from repro.multilevel.nlevel import NLevelCoarsener
 from repro.partition import (
     BalanceConstraint,
     cut_cost,
@@ -379,10 +385,28 @@ class TestNLevelPartitioner:
 # Hypothesis property suite
 # ---------------------------------------------------------------------------
 @st.composite
-def _graphs(draw):
-    return draw(st_repro.hypergraphs(
-        min_nodes=2, max_nodes=14, weighted=True, costed=True
+def _graphs(draw, max_nodes=14, max_net_size=5, rich=False):
+    """Weighted, costed random hypergraphs.  ``rich`` redraws the net
+    costs as floats, zeros and repeats, and the node weights as zeros
+    and fractions."""
+    graph = draw(st_repro.hypergraphs(
+        min_nodes=2, max_nodes=max_nodes, max_net_size=max_net_size,
+        weighted=True, costed=True,
     ))
+    if not rich:
+        return graph
+    cost = st.sampled_from([0.0, 0.1, 0.2, 0.3, 1.0]) | st.floats(0.0, 4.0)
+    weight = st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.0, 5.0)
+    return Hypergraph(
+        graph.nets,
+        num_nodes=graph.num_nodes,
+        net_costs=draw(st.lists(
+            cost, min_size=graph.num_nets, max_size=graph.num_nets
+        )),
+        node_weights=draw(st.lists(
+            weight, min_size=graph.num_nodes, max_size=graph.num_nodes
+        )),
+    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -469,6 +493,108 @@ def test_property_coarsening_is_deterministic(graph):
     a = nlevel_coarsen(graph, target_nodes=2)
     b = nlevel_coarsen(graph, target_nodes=2)
     assert _pairs(a[1]) == _pairs(b[1])
+
+
+# ---------------------------------------------------------------------------
+# The coarsening oracle: incremental queue == from-scratch ratings
+# ---------------------------------------------------------------------------
+def _assert_queue_exact(coarsener):
+    """Every alive node's queue entry is a from-scratch ``_best_partner``
+    (absent when that is None), and ``_targets`` inverts the payloads."""
+    dyn = coarsener.dyn
+    fresh = NLevelCoarsener(
+        dyn,
+        target_nodes=coarsener.target_nodes,
+        rating=coarsener.rating,
+        max_net_size=coarsener.max_net_size,
+        max_cluster_weight=coarsener.max_cluster_weight,
+    )
+    fresh._rebuild_queue()
+    pq = coarsener.pq
+    partners = {}
+    for w in range(dyn.num_nodes):
+        best = fresh._best_partner(w) if dyn.alive[w] else None
+        if best is None:
+            assert w not in pq
+        else:
+            assert (pq.priority(w), pq.payload(w)) == best
+            partners.setdefault(best[1], set()).add(w)
+    targets = {
+        p: set(ws) for p, ws in coarsener._targets.items() if ws
+    }
+    assert targets == partners
+
+
+class _CheckedCoarsener(NLevelCoarsener):
+    """Runs the oracle after every contraction."""
+
+    def _contract(self, u, v):
+        super()._contract(u, v)
+        _assert_queue_exact(self)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    _graphs(max_nodes=20, max_net_size=8, rich=True),
+    st.sampled_from(["heavy-edge", "uniform"]),
+    st.sampled_from([3, 5, 40]),
+    st.integers(2, 20),
+    st.sampled_from([1.0, 2.0, 4.0, math.inf]),
+)
+def test_property_queue_matches_from_scratch_ratings(
+    graph, rating, max_net_size, target, slack
+):
+    cap = math.inf
+    if slack < math.inf:
+        cap = slack * graph.total_node_weight / target
+    coarsener = _CheckedCoarsener(
+        DynamicHypergraph(graph),
+        target_nodes=target,
+        rating=rating,
+        max_net_size=max_net_size,
+        max_cluster_weight=cap,
+    )
+    coarsener.coarsen()
+    assert coarsener.contractions == len(coarsener.mementos)
+
+
+def test_queue_matches_from_scratch_ratings_after_journal_resume(
+    tmp_path, monkeypatch
+):
+    graph = hierarchical_circuit(120, 130, 460, seed=6)
+    path = tmp_path / "coarsen.jsonl"
+    _, reference, _ = nlevel_coarsen(
+        graph, target_nodes=8, journal_path=path, journal_batch=4
+    )
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+    monkeypatch.setattr(nlevel, "NLevelCoarsener", _CheckedCoarsener)
+    _, mementos, stats = nlevel_coarsen(
+        graph, target_nodes=8, journal_path=path, journal_batch=4
+    )
+    assert 0 < stats["journal_replayed"] < len(reference)
+    assert stats["contractions"] > 0
+    assert _pairs(mementos) == _pairs(reference)
+
+
+def test_heir_tie_goes_to_the_smaller_unchanged_partner():
+    """Node 2's partner 0 is absorbed into the larger-id node 3 at
+    exactly the rating node 2 has toward node 1: node 1 must win.
+
+    Contracting 4 into 3 first appends nets 0 and 1 to node 3's net
+    list, so r(3, 0) = 0.1 + 0.2 + 0.3 = 0.6000000000000001 while
+    r(0, 3) = 0.2 + 0.3 + 0.1 = 0.6: node 3 pops next, with partner 0.
+    """
+    graph = Hypergraph(
+        [[4, 0], [4, 0], [3, 0], [2, 0], [2, 1], [3, 4]],
+        net_costs=[0.2, 0.3, 0.1, 0.25, 0.25, 10.0],
+    )
+    coarsener = _CheckedCoarsener(
+        DynamicHypergraph(graph), target_nodes=3, max_net_size=2
+    )
+    coarsener.coarsen()
+    assert _pairs(coarsener.mementos) == [(3, 4), (3, 0)]
+    assert coarsener.pq.payload(2) == 1
 
 
 def test_slackened_clamps_to_physical_bounds():

@@ -8,6 +8,7 @@ fast enough for the tier-1 suite.
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import pytest
 
@@ -268,6 +269,56 @@ def test_recovered_done_job_serves_results_from_run_journal(tmp_path):
 
     job_id, cuts = asyncio.run(first())
     asyncio.run(second(job_id, cuts))
+
+
+def test_done_job_survives_a_stop_in_the_middle_of_its_settle(tmp_path):
+    """The settle's first thread hop is held while the service stops:
+    no caller may see the job as done before the jobs journal holds it,
+    and stop() must let the settle finish rather than cancel it."""
+    cache = str(tmp_path / "cache")
+    entered = threading.Event()
+    release = threading.Event()
+
+    async def first():
+        service = PartitionService(ServiceConfig(
+            cache_dir=cache, job_workers=1, integrity_check=False,
+        ))
+        await service.start()
+        record_success = service.quarantine.record_success
+
+        def held(fingerprint):
+            entered.set()
+            release.wait()
+            record_success(fingerprint)
+
+        service.quarantine.record_success = held
+        try:
+            job = await service.submit(payload(runs=2))
+            assert await asyncio.to_thread(entered.wait, 30.0)
+            seen = service.get_job(job.job_id).state
+            workers = list(service._workers)
+            stopping = asyncio.create_task(service.stop())
+            # Once every worker is done, stop() has cancelled them all.
+            _, pending = await asyncio.wait(workers, timeout=30.0)
+            assert not pending
+        finally:
+            release.set()
+        await asyncio.wait_for(stopping, 30.0)
+        return job.job_id, seen
+
+    async def second(job_id):
+        service = PartitionService(ServiceConfig(
+            cache_dir=cache, job_workers=1, integrity_check=False,
+        ))
+        await service.start()
+        try:
+            return service.get_job(job_id).state
+        finally:
+            await service.stop()
+
+    job_id, seen = asyncio.run(first())
+    assert seen == "running"
+    assert asyncio.run(second(job_id)) == "done"
 
 
 def test_failed_execution_settles_job_as_failed(tmp_path, monkeypatch):
