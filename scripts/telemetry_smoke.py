@@ -6,8 +6,9 @@ Checks the three guarantees the telemetry layer advertises, on a real
 
 1. **Zero-overhead-when-off** — a run with ``NullRecorder`` attached (the
    off state) is within ``--budget`` (default 2%) of a run with no
-   recorder argument at all, comparing best-of-k timings to squeeze out
-   scheduler noise.
+   recorder argument at all.  The two run in pairs, alternating which
+   goes first, and the median of the per-pair time ratios is judged, so
+   neither run order nor a drift in host speed picks the verdict.
 2. **Behavior-neutral** — with a ``TraceRecorder`` attached, every
    algorithm produces bit-identical cuts and sides to the unrecorded run.
 3. **Faithful trajectory** — the per-pass cuts recorded in the trace match
@@ -18,6 +19,7 @@ job (see .github/workflows/tests.yml).
 """
 
 import argparse
+import statistics
 import sys
 import tempfile
 import time
@@ -36,34 +38,43 @@ from repro.telemetry import (  # noqa: E402
 )
 
 
-def best_of(k, fn):
-    """Best (minimum) wall-clock of ``k`` invocations of ``fn``."""
-    best = float("inf")
-    for _ in range(k):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+def timed(fn):
+    """Wall-clock seconds of one invocation of ``fn``."""
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
 
 
 def check_overhead(graph, args):
-    """Guarantee 1: NullRecorder within the overhead budget."""
+    """Guarantee 1: NullRecorder within the overhead budget.
+
+    Each of ``args.repeats`` pairs times one bare and one NullRecorder
+    run; even pairs run the bare one first, odd pairs the NullRecorder
+    one.  The overhead is the median NullRecorder/bare ratio, minus one.
+    """
     partitioner = PropPartitioner()
+
+    def bare():
+        partitioner.partition(graph, seed=0)
+
+    def nulled():
+        partitioner.partition(graph, seed=0, recorder=NullRecorder())
+
     # Warm-up run so allocator/caches steady-state before timing.
-    partitioner.partition(graph, seed=0)
-    bare = best_of(
-        args.repeats, lambda: partitioner.partition(graph, seed=0)
-    )
-    nulled = best_of(
-        args.repeats,
-        lambda: partitioner.partition(
-            graph, seed=0, recorder=NullRecorder()
-        ),
-    )
-    overhead = (nulled - bare) / bare
+    bare()
+    ratios = []
+    for pair in range(args.repeats):
+        if pair % 2:
+            nulled_s = timed(nulled)
+            bare_s = timed(bare)
+        else:
+            bare_s = timed(bare)
+            nulled_s = timed(nulled)
+        ratios.append(nulled_s / bare_s)
+    overhead = statistics.median(ratios) - 1.0
     print(
-        f"overhead: bare {bare * 1e3:.1f}ms, NullRecorder "
-        f"{nulled * 1e3:.1f}ms ({overhead:+.2%}, budget {args.budget:.0%})"
+        f"overhead: median NullRecorder/bare ratio over {args.repeats} "
+        f"alternating pairs {overhead:+.2%} (budget {args.budget:.0%})"
     )
     return overhead <= args.budget
 
@@ -107,8 +118,8 @@ def main() -> int:
         help="circuit scale (default 0.25: large enough to time)",
     )
     parser.add_argument(
-        "--repeats", type=int, default=5,
-        help="timing repetitions, best-of (default 5)",
+        "--repeats", type=int, default=61,
+        help="alternating bare/NullRecorder timing pairs (default 61)",
     )
     parser.add_argument(
         "--budget", type=float, default=0.02,

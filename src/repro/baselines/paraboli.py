@@ -23,8 +23,6 @@ from collections import deque
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from ..hypergraph import Hypergraph
 from ..partition import (
@@ -32,7 +30,7 @@ from ..partition import (
     BipartitionResult,
     best_split_of_ordering,
 )
-from .spectral.laplacian import laplacian_matrix
+from .spectral.laplacian import laplacian_matrix, load_scipy
 
 
 def _bfs_farthest(graph: Hypergraph, start: int) -> int:
@@ -81,6 +79,9 @@ def quadratic_placement(
     coordinates 0 and 1 — the harmonic extension minimizing quadratic
     wirelength ``Σ w(u,v)(x_u − x_v)²`` over the clique expansion.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     n = graph.num_nodes
     fixed = {}
     for v in anchors_zero:
@@ -120,6 +121,7 @@ class ParaboliPartitioner:
             raise ValueError("anchor_fraction must be in (0, 0.5)")
         self.iterations = iterations
         self.anchor_fraction = anchor_fraction
+        load_scipy()
 
     name = "PARABOLI"
     #: Seed-independent: the multirun harness clamps extra runs to one.

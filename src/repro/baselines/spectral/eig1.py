@@ -22,7 +22,7 @@ from ...partition import (
     BipartitionResult,
     best_split_of_ordering,
 )
-from .laplacian import fiedler_vector
+from .laplacian import fiedler_vector, load_scipy
 
 
 class Eig1Partitioner:
@@ -42,6 +42,7 @@ class Eig1Partitioner:
         if objective not in ("cut", "ratio"):
             raise ValueError(f"unknown objective {objective!r}")
         self.objective = objective
+        load_scipy()
 
     def partition(
         self,

@@ -4,27 +4,43 @@ Shared substrate of the spectral baselines (EIG1, MELO) and the
 PARABOLI-style analytical placer.  Hypergraphs are clique-expanded with the
 standard ``c/(q−1)`` weighting [Hagen & Kahng 1991], then assembled into a
 sparse Laplacian ``L = D − A``.
+
+scipy is imported inside the functions that call it, not at module level:
+PROP and every move-based baseline run without it, so ``import repro``
+does not pay for it.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from ...hypergraph import Hypergraph, clique_edges
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 #: Below this size, dense LAPACK eigensolves are both faster and far more
 #: robust than Lanczos iteration.
 DENSE_THRESHOLD = 600
 
 
+def load_scipy() -> None:
+    """Import the scipy modules this module's functions call.
+
+    EIG1, MELO and PARABOLI call it from ``__init__``, so that building one
+    pays the import and its ``partition()`` runtime measures only compute.
+    """
+    import scipy.sparse.linalg  # noqa: F401 - imports scipy.sparse too
+
+
 def laplacian_matrix(
     graph: Hypergraph, weight_model: str = "standard"
 ) -> sp.csr_matrix:
     """Sparse clique-model Laplacian of the netlist."""
+    import scipy.sparse as sp
+
     n = graph.num_nodes
     edges = clique_edges(graph, weight_model=weight_model)
     if not edges:
@@ -57,6 +73,8 @@ def smallest_eigenvectors(
     near-disconnected circuits are numerically nasty and robustness beats
     speed in a reproduction harness.
     """
+    import scipy.sparse.linalg as spla
+
     n = laplacian.shape[0]
     if count < 1:
         raise ValueError("count must be >= 1")

@@ -27,7 +27,7 @@ from ...partition import (
     BipartitionResult,
     best_split_of_ordering,
 )
-from .laplacian import laplacian_matrix, smallest_eigenvectors
+from .laplacian import laplacian_matrix, load_scipy, smallest_eigenvectors
 
 
 def _greedy_chain_order(points: np.ndarray) -> List[int]:
@@ -62,6 +62,7 @@ class MeloPartitioner:
         if num_eigenvectors < 1:
             raise ValueError("num_eigenvectors must be >= 1")
         self.num_eigenvectors = num_eigenvectors
+        load_scipy()
 
     name = "MELO"
     #: Seed-independent: the multirun harness clamps extra runs to one.

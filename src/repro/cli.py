@@ -70,7 +70,7 @@ from .baselines import (
     WindowPartitioner,
 )
 from .core import PropConfig, PropPartitioner
-from .kernels import KERNEL_CHOICES
+from .kernels import AUTO_SCALAR_CUTOFF_PINS, KERNEL_CHOICES
 from .hypergraph import BENCHMARK_NAMES, Hypergraph, compute_stats, make_benchmark
 from .hypergraph import io_ as netlist_io
 from .multirun import run_many
@@ -205,8 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=KERNEL_CHOICES,
         default="auto",
         help="gain-kernel backend for PROP/FM/LA (default auto: numpy "
-        "when available and the instance is large enough, also "
-        "REPRO_KERNEL). python/numpy are bit-identical — same moves and "
+        f"at >= {AUTO_SCALAR_CUTOFF_PINS} pins, python below; REPRO_KERNEL "
+        "overrides auto). python/numpy are bit-identical — same moves and "
         "cuts — so choosing between them only affects runtime; subround "
         "runs deterministic batched sub-round passes (different move "
         "interleaving, worker-count-invariant results)",

@@ -21,8 +21,10 @@ the scalar loops, which accumulate per-net products in net-pin order and
 per-node sums in ``node_nets`` order.  Both layouts preserve exactly
 those orders (see :mod:`repro.kernels.numpy_backend`).
 
-This module imports numpy at load time; it is only imported once
-:func:`repro.kernels.resolve_kernel` has established numpy is available.
+numpy is a hard dependency.  The vectorized backends build a view: the
+sub-round engines always, the numpy backend whenever it runs.  ``"auto"``
+picks numpy at :data:`repro.kernels.AUTO_SCALAR_CUTOFF_PINS` pins and
+above, and the scalar backend below.
 """
 
 from __future__ import annotations

@@ -1,5 +1,9 @@
 """Public API surface checks."""
 
+import os
+import subprocess
+import sys
+
 import repro
 
 
@@ -56,3 +60,45 @@ class TestPublicApi:
             repro.LAPartitioner(k).partition(
                 graph, balance=balance, seed=0
             ).verify(graph)
+
+
+#: Run in a fresh interpreter by ``test_cold_start_leaves_scipy_unloaded``.
+COLD_START_SCRIPT = """
+import sys
+import repro, repro.cli, repro.service.app
+from repro.multilevel import NLevelPartitioner
+
+graph = repro.make_benchmark("t6", scale=0.05)
+for partitioner in (
+    repro.PropPartitioner(),
+    repro.FMPartitioner("bucket"),
+    repro.FMPartitioner("tree"),
+    repro.LAPartitioner(2),
+    repro.KLPartitioner(),
+    repro.WindowPartitioner(),
+    repro.MultilevelPartitioner(),
+    NLevelPartitioner(),
+):
+    partitioner.partition(graph, seed=0).verify(graph)
+assert "scipy" not in sys.modules, "scipy loaded before a scipy-backed partitioner was built"
+
+spectral = repro.Eig1Partitioner()
+assert "scipy.sparse.linalg" in sys.modules, "EIG1 built without scipy"
+for partitioner in (spectral, repro.MeloPartitioner(), repro.ParaboliPartitioner()):
+    partitioner.partition(graph, seed=0).verify(graph)
+"""
+
+
+def test_cold_start_leaves_scipy_unloaded():
+    """``import repro`` (CLI and service included) and every move-based
+    partitioner run without scipy; building EIG1 loads it before any
+    ``partition()`` call, and the scipy-backed baselines still verify."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START_SCRIPT],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
