@@ -7,6 +7,12 @@ target the ratio-cut objective; used as a min-cut partitioner under an
 (r1, r2) constraint, the split scan below picks the feasible minimum-cut
 prefix — the protocol the MELO paper (and hence the DAC-96 paper's
 Table 3) used for its EIG1 numbers.
+
+The Fiedler vector is defined for a connected graph.  A disconnected
+netlist (every Table-1 circuit at scale 0.25 has isolated nodes) is
+ordered one component at a time, largest first, each by its own Fiedler
+vector (:func:`~.laplacian.component_order`); entries within
+:data:`~.laplacian.TIE_TOL` of each other order by node id.
 """
 
 from __future__ import annotations
@@ -22,7 +28,17 @@ from ...partition import (
     BipartitionResult,
     best_split_of_ordering,
 )
-from .laplacian import fiedler_vector, load_scipy
+from .laplacian import TIE_TOL, component_order, load_scipy
+
+
+def _fiedler_rows(vectors: np.ndarray) -> np.ndarray:
+    """Rows sorted by the first column; near-ties (:data:`TIE_TOL`) by row."""
+    values = vectors[:, 0]
+    by_value = np.argsort(values, kind="stable")
+    tie_group = np.concatenate(
+        ([0], np.cumsum(np.diff(values[by_value]) > TIE_TOL))
+    )
+    return by_value[np.lexsort((by_value, tie_group))]
 
 
 class Eig1Partitioner:
@@ -59,10 +75,7 @@ class Eig1Partitioner:
         if balance is None:
             balance = BalanceConstraint.forty_five_fifty_five(graph)
         start = time.perf_counter()
-        vector = fiedler_vector(graph)
-        # Stable sort keyed by (component value, node id) for determinism.
-        order = list(np.argsort(vector, kind="stable"))
-        order = [int(v) for v in order]
+        order = component_order(graph, 1, _fiedler_rows)
         sides, cut = best_split_of_ordering(
             graph, order, balance, objective=self.objective
         )

@@ -3,9 +3,12 @@
 Real netlists arrive with warts — duplicate nets, single-pin stubs,
 isolated spare cells, disconnected blocks — that partitioners tolerate but
 users should know about.  :func:`lint` produces a structured report;
-:func:`connected_components` / :func:`is_connected` give the connectivity
-facts the spectral methods' behaviour depends on (a disconnected Laplacian
-has a degenerate Fiedler vector).
+:func:`connected_components` / :func:`is_connected` give the netlist's
+connectivity.  The spectral baselines order each component on its own
+(a disconnected Laplacian has a degenerate Fiedler vector); they take the
+components from the clique Laplacian
+(:func:`repro.baselines.spectral.laplacian.laplacian_components`), where a
+zero-cost net joins nothing.
 """
 
 from __future__ import annotations
