@@ -89,7 +89,10 @@ class PropGains(GainPolicy):
     inputs — the side and probability of every other pin of its nets —
     may have changed since its last :meth:`node_gain` call.  A node with
     a clear flag holds exactly that gain as its key, so the top-k refresh
-    skips it: recomputing would return the stored key bit for bit.
+    skips it: recomputing would return the stored key bit for bit.  A
+    move flags nothing by itself: every free pin whose gain reads the
+    moved node is its neighbour, and the neighbour refresh recomputes
+    each of them straight after.
     """
 
     phases = ("bootstrap", "refine", "gain_init", "move_loop")
@@ -171,7 +174,6 @@ class PropGains(GainPolicy):
             self._update_neighbors_cached(node, containers, counters)
             self._update_top_ranked_cached(containers, counters)
         else:
-            self._mark_stale(node)
             self._update_neighbors(node, containers, counters)
             self._update_top_ranked(containers, counters)
         return immediate
@@ -304,12 +306,20 @@ class PropGains(GainPolicy):
                 stale[node] = False
 
     def _mark_stale(self, node) -> None:
-        """Flag every pin of ``node``'s nets: their gains read the side
-        and probability of ``node``."""
-        graph = self.partition.graph
+        """Flag every pin of ``node``'s live nets: their gains read the
+        side and probability of ``node``.  A net locked on both sides
+        adds exactly 0 to every free pin's gain for the rest of the pass
+        (:meth:`~repro.core.gains.ProbabilisticGainEngine.node_gain`
+        skips it), so nothing that changes on it can stale a gain."""
+        partition = self.partition
+        graph = partition.graph
         nets = graph.nets
+        locked0 = partition.locked_counts_view(0)
+        locked1 = partition.locked_counts_view(1)
         stale = self.stale
         for net_id in graph.node_nets(node):
+            if locked0[net_id] and locked1[net_id]:
+                continue
             for v in nets[net_id]:
                 stale[v] = True
 

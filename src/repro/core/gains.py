@@ -338,20 +338,31 @@ class ProbabilisticGainEngine:
         moved node), so both side products of each net are accumulated in a
         single pass over the net's pins instead of via two
         :meth:`net_clearing_probability` calls.
+
+        ``node`` must be free.  A net locked on both sides is skipped
+        without reading its pins: both of its side products hold a
+        locked pin (p = 0), so its term is ``c·(0 − 0)`` (Eqns. 5/6),
+        and adding a zero never changes a sum that starts at +0.0.
+        ``PropGains._mark_stale`` skips the same nets; the two rules must
+        stay one.
         """
         part = self.partition
         graph = part.graph
         p = self.p
         sides = part.sides_view()
-        net_of = graph.net
+        nets = graph.nets
         net_costs = graph.net_costs
+        locked0 = part.locked_counts_view(0)
+        locked1 = part.locked_counts_view(1)
         s = sides[node]
         total = 0.0
         for net_id in graph.node_nets(node):
+            if locked0[net_id] and locked1[net_id]:
+                continue
             prod_a = 1.0
             prod_b = 1.0
             has_other = False
-            for v in net_of(net_id):
+            for v in nets[net_id]:
                 if v == node:
                     continue
                 pv = p[v]

@@ -96,17 +96,20 @@ class UncoarsenState:
     # ------------------------------------------------------------------
     def _gain(self, x: int) -> float:
         dyn = self.dyn
-        s = self.sides[x]
+        pins = dyn.pins
+        net_cost = dyn.net_cost
+        if self.sides[x] == 0:
+            same, other = self.c0, self.c1
+        else:
+            same, other = self.c1, self.c0
         g = 0.0
         for net in dyn.nets_of[x]:
-            if len(dyn.pins[net]) < 2:
+            if len(pins[net]) < 2:
                 continue
-            same = self.c0[net] if s == 0 else self.c1[net]
-            other = self.c1[net] if s == 0 else self.c0[net]
-            cost = dyn.net_cost[net]
-            if same == 1:
+            cost = net_cost[net]
+            if same[net] == 1:
                 g += cost
-            if other == 0:
+            if other[net] == 0:
                 g -= cost
         return g
 
@@ -131,15 +134,24 @@ class UncoarsenState:
 
     def _rerate_neighbors(self, pq: AddressablePriorityQueue, x: int) -> None:
         """Re-key every still-queued pin of ``x``'s small nets by its
-        gain now that ``x`` has moved."""
+        gain now that ``x`` has moved.
+
+        Each such pin is rerated once, however many small nets it shares
+        with ``x``: every rerate reads the same state, and the queue's
+        pop order depends only on its live entries, so the repeats could
+        only push the same key again."""
         dyn = self.dyn
+        pins = dyn.pins
+        max_net_size = self.max_net_size
+        queued: Dict[int, None] = {}
         for net in dyn.nets_of[x]:
-            net_pins = dyn.pins[net]
-            if not 2 <= len(net_pins) <= self.max_net_size:
-                continue
-            for y in net_pins:
-                if y in pq:
-                    pq.push(y, self._gain(y))
+            net_pins = pins[net]
+            if 2 <= len(net_pins) <= max_net_size:
+                for y in net_pins:
+                    if y in pq:
+                        queued[y] = None
+        for y in queued:
+            pq.push(y, self._gain(y))
 
     # ------------------------------------------------------------------
     # Uncontraction
@@ -228,13 +240,12 @@ class UncoarsenState:
         super-node, and no refiner recovers from an infeasible start.
         Flips best-gain nodes off the overweight side until both sides
         are inside the bounds; each node flips at most once, so
-        termination is guaranteed.  Called with progressively tighter
-        bounds at every stage-refine boundary, so the correction is
-        Runs once at the finest level, before the final refine, so the
+        termination is guaranteed.  :class:`NLevelPartitioner` calls it
+        once, at the finest level, before the final refine, so the
         repair happens at single-node granularity (forcing it earlier,
         at super-node granularity, measurably hurts the final cut) and
-        the final refiner starts from a feasible partition.
-        Returns the number of moves made."""
+        the final refiner starts from a feasible partition.  Returns the
+        number of moves made."""
         bal = self.balance if bounds is None else bounds
         if bal.is_satisfied(self.side_weights):
             return 0

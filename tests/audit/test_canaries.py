@@ -102,6 +102,53 @@ def test_prop_unflagged_stale_gain_is_caught(monkeypatch, graph):
     _expect_violation(PropPartitioner(), graph, "prop-clean-key")
 
 
+def _locked_on_a_side(partition, net_id):
+    """The too-wide dead-net rule: a locked pin on *either* side (the
+    exact rule needs one on both)."""
+    return (
+        partition.locked_counts_view(0)[net_id]
+        or partition.locked_counts_view(1)[net_id]
+    )
+
+
+def test_prop_gain_skipping_half_locked_nets_is_caught(monkeypatch, graph):
+    """A net locked on one side only still moves a free pin's gain
+    (Eqn. 5/6's surviving term); skipping it must fail the Eqn. 2–6
+    oracle."""
+
+    def skips_half_locked(self, node):
+        part = self.partition
+        return sum(
+            self.net_gain(node, net_id)
+            for net_id in part.graph.node_nets(node)
+            if not _locked_on_a_side(part, net_id)
+        )
+
+    monkeypatch.setattr(
+        ProbabilisticGainEngine, "node_gain", skips_half_locked
+    )
+    _expect_violation(PropPartitioner(), graph, "prop-gain")
+
+
+def test_prop_stale_walk_skipping_half_locked_nets_is_caught(
+    monkeypatch, graph
+):
+    """A probability change on a net locked on one side only still
+    stales its free pins; a walk that skips such nets leaves clean flags
+    on changed gains, which the clean-key check must catch."""
+    from repro.core.engine import PropGains
+
+    def skips_half_locked(self, node):
+        part = self.partition
+        for net_id in part.graph.node_nets(node):
+            if not _locked_on_a_side(part, net_id):
+                for v in part.graph.net(net_id):
+                    self.stale[v] = True
+
+    monkeypatch.setattr(PropGains, "_mark_stale", skips_half_locked)
+    _expect_violation(PropPartitioner(), graph, "prop-clean-key")
+
+
 def test_corrupted_cut_bookkeeping_is_caught(monkeypatch, graph):
     """Drifting the tracked cut must fail the structure cross-check."""
     original = Partition.move

@@ -3,8 +3,11 @@
 The unified rule (DESIGN.md decision 1) must reproduce each of the paper's
 equations, including every locked-net specialization, and the O(m)
 ``all_gains`` must agree with per-node recomputation bit for bit.
+``node_gain`` skips nets locked on both sides; it must still equal, bit
+for bit, a plain left-to-right sum that visits them.
 """
 
+import math
 import random
 
 import pytest
@@ -13,7 +16,9 @@ from hypothesis import strategies as st
 
 from repro.core.gains import ProbabilisticGainEngine
 from repro.hypergraph import Hypergraph, hierarchical_circuit
+from repro.kernels import make_gain_engine
 from repro.partition import Partition, random_balanced_sides
+from repro.testing import strategies as st_repro
 
 
 def make_engine(nets, sides, probabilities, net_costs=None, locked=()):
@@ -214,3 +219,86 @@ class TestAllGainsConsistency:
                 assert bulk[v] == pytest.approx(
                     engine.node_gain(v), rel=1e-9, abs=1e-12
                 )
+
+
+def _left_to_right_gain(graph, sides, p, node):
+    """Eqns. 3/4 summed over every net of ``node`` in order, dead nets
+    (locked on both sides) included."""
+    s = sides[node]
+    total = 0.0
+    for net_id in graph.node_nets(node):
+        prod_a = prod_b = 1.0
+        has_other = False
+        for v in graph.net(net_id):
+            if v == node:
+                continue
+            if sides[v] == s:
+                prod_a *= p[v]
+            else:
+                has_other = True
+                prod_b *= p[v]
+        cost = graph.net_cost(net_id)
+        if has_other:
+            total += cost * (prod_a - prod_b)
+        else:
+            total += cost * (prod_a - 1.0)
+    return total
+
+
+@st.composite
+def _locked_states(draw):
+    """A graph with zero, repeated and fractional net costs and
+    single-pin nets, plus sides, a lock set and probabilities."""
+    graph = draw(st_repro.hypergraphs(max_nodes=10, max_net_size=6))
+    cost = st.sampled_from([0.0, 0.1, 0.3, 1.0]) | st.floats(0.0, 4.0)
+    graph = Hypergraph(
+        graph.nets,
+        num_nodes=graph.num_nodes,
+        net_costs=draw(st.lists(
+            cost, min_size=graph.num_nets, max_size=graph.num_nets
+        )),
+    )
+    n = graph.num_nodes
+    sides = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    locked = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    probability = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    p = draw(st.lists(probability, min_size=n, max_size=n))
+    return graph, sides, locked, p
+
+
+class TestDeadNetSkip:
+    @pytest.mark.parametrize("kernel", ["python", "numpy"])
+    @given(state=_locked_states())
+    @settings(max_examples=150, deadline=None)
+    def test_node_gain_equals_a_sum_over_every_net(self, kernel, state):
+        graph, sides, locked, probabilities = state
+        partition = Partition(graph, sides)
+        for v in range(graph.num_nodes):
+            if locked[v]:
+                partition.lock(v)
+        engine = make_gain_engine(partition, kernel)
+        for v in range(graph.num_nodes):
+            if not locked[v]:
+                engine.set_probability(v, probabilities[v])
+        for v in range(graph.num_nodes):
+            if not locked[v]:
+                assert engine.node_gain(v) == _left_to_right_gain(
+                    graph, sides, engine.p, v
+                )
+
+    @pytest.mark.parametrize("kernel", ["python", "numpy"])
+    def test_node_with_only_dead_nets_gains_exactly_zero(self, kernel):
+        """Both of node 0's nets hold a locked pin on each side."""
+        graph = Hypergraph(
+            [[0, 1, 2], [0, 3, 4], [1, 3]],
+            num_nodes=5, net_costs=[0.3, 2.0, 1.0],
+        )
+        sides = [0, 0, 1, 0, 1]
+        partition = Partition(graph, sides)
+        for v in (1, 2, 3, 4):
+            partition.lock(v)
+        engine = make_gain_engine(partition, kernel)
+        engine.set_probability(0, 0.7)
+        gain = engine.node_gain(0)
+        assert gain == 0.0 and math.copysign(1.0, gain) == 1.0
+        assert _left_to_right_gain(graph, sides, engine.p, 0) == 0.0

@@ -1,6 +1,6 @@
 """n-level coarsening engine: round-trips, determinism, journal resume.
 
-Three contracts from docs/multilevel.md are fenced here:
+Five contracts from docs/multilevel.md are fenced here:
 
 1. **Exact round-trip** — undoing the memento stack restores the
    original hypergraph exactly: pin sets, incidence sets, bit-exact
@@ -15,10 +15,15 @@ Three contracts from docs/multilevel.md are fenced here:
 4. **Exact incremental ratings** — after every contraction, each alive
    node's queue entry is what a from-scratch rating gives, although the
    coarsener re-sums only the partners the contraction can change.
+5. **Exact region rerates** — after every region-refinement and
+   rebalance move, each still-queued pin of the moved node's small nets
+   is keyed by its from-scratch Eqn.-1 gain, computed once however many
+   small nets it shares with the moved node.
 """
 
 import json
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +40,7 @@ from repro.multilevel import (
     nlevel,
     nlevel_coarsen,
 )
+from repro.multilevel import uncoarsen
 from repro.multilevel.nlevel import NLevelCoarsener
 from repro.partition import (
     BalanceConstraint,
@@ -595,6 +601,106 @@ def test_heir_tie_goes_to_the_smaller_unchanged_partner():
     coarsener.coarsen()
     assert _pairs(coarsener.mementos) == [(3, 4), (3, 0)]
     assert coarsener.pq.payload(2) == 1
+
+
+# ---------------------------------------------------------------------------
+# The region oracle: rerated keys == from-scratch gains, one rerate each
+# ---------------------------------------------------------------------------
+def _fresh_gain(state, y):
+    """Eqn.-1 gain of ``y`` recounted from the sides alone, summed in
+    ``_gain``'s order so the two agree bit for bit."""
+    dyn = state.dyn
+    s = state.sides[y]
+    g = 0.0
+    for net in dyn.nets_of[y]:
+        pins = dyn.pins[net]
+        if len(pins) < 2:
+            continue
+        same = sum(1 for z in pins if state.sides[z] == s)
+        if same == 1:
+            g += dyn.net_cost[net]
+        if same == len(pins):
+            g -= dyn.net_cost[net]
+    return g
+
+
+class _CheckedState(UncoarsenState):
+    """Runs the oracle after every region and rebalance move, counting
+    the moves it checked in ``checked``."""
+
+    checked = 0
+
+    def _rerate_neighbors(self, pq, x):
+        calls = Counter()
+        gain = self._gain
+
+        def counted(y):
+            calls[y] += 1
+            return gain(y)
+
+        self._gain = counted
+        try:
+            super()._rerate_neighbors(pq, x)
+        finally:
+            del self._gain
+        dyn = self.dyn
+        queued = {
+            y
+            for net in dyn.nets_of[x]
+            if 2 <= len(dyn.pins[net]) <= self.max_net_size
+            for y in dyn.pins[net]
+            if y in pq
+        }
+        assert calls == Counter(queued)
+        for y in queued:
+            assert pq.priority(y) == _fresh_gain(self, y)
+        type(self).checked += 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    _graphs(max_nodes=20, max_net_size=8, rich=True),
+    st.integers(0, 2**16),
+    st.sampled_from([3, 5, 40]),
+    st.booleans(),
+)
+def test_property_region_rerates_match_from_scratch_gains(
+    graph, seed, max_net_size, lopsided
+):
+    """Uncoarsening with region refinement, then a rebalance; a
+    ``lopsided`` start puts every node on side 0 so the rebalance has
+    work to do."""
+    dyn, mementos, _ = nlevel_coarsen(
+        graph, target_nodes=2, max_net_size=max_net_size
+    )
+    coarse, reps = dyn.snapshot()
+    sides = [0] * graph.num_nodes
+    if coarse.num_nodes and not lopsided:
+        coarse_sides = random_balanced_sides(coarse, seed)
+        for i, u in enumerate(reps):
+            sides[u] = coarse_sides[i]
+    balance = BalanceConstraint.fifty_fifty(graph)
+    state = _CheckedState(dyn, sides, balance, max_net_size=max_net_size)
+    state.uncoarsen(mementos, refine=True)
+    state.rebalance()
+    assert state.cut == pytest.approx(cut_cost(graph, state.sides))
+
+
+def test_region_rerates_match_from_scratch_gains_in_a_run(monkeypatch):
+    """The whole n-level engine, on an instance whose run makes both
+    region and rebalance moves."""
+    monkeypatch.setattr(uncoarsen, "UncoarsenState", _CheckedState)
+    monkeypatch.setattr(_CheckedState, "checked", 0)
+    graph = hierarchical_circuit(195, 192, 547, seed=0)
+    balance = BalanceConstraint.from_fractions(graph, 0.495, 0.505)
+    res = NLevelPartitioner(coarsest_nodes=60, coarsest_runs=4).partition(
+        graph, balance=balance, seed=0
+    )
+    assert res.stats["region_moves"] > 0
+    assert res.stats["rebalance_moves"] > 0
+    assert _CheckedState.checked >= (
+        res.stats["region_moves"] + res.stats["rebalance_moves"]
+    )
 
 
 def test_slackened_clamps_to_physical_bounds():
