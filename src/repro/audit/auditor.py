@@ -489,6 +489,37 @@ class PassAuditor:
                 )
 
     @_timed
+    def check_prop_term_memo(self, partition, engine, memo_terms) -> None:
+        """Every current slot of PROP's term memo holds its exact term.
+
+        The recompute strategy sums a node's gain from memoized per-net
+        terms and recomputes only the slots whose net epoch moved.  So
+        each slot ``memo_terms(v)`` reports as current must equal the
+        Eqn. 2–6 term of that net from scratch **exactly**: the memoized
+        sum is only the same float as ``node_gain``'s if every term is.
+        """
+        if not self.config.check_gains:
+            return
+        graph = self.graph
+        sides = partition.sides
+        locked = [partition.is_locked(v) for v in range(graph.num_nodes)]
+        for v in self._gain_sweep_nodes(partition):
+            for net_id, term in memo_terms(v):
+                ref = reference.prop_net_gain(
+                    graph, sides, locked, engine.p, v, net_id
+                )
+                self.checks_run += 1
+                if term != ref:
+                    raise self._violation(
+                        "prop-term-memo",
+                        ref,
+                        term,
+                        node=v,
+                        move_index=self._move_index,
+                        detail=f"net {net_id} holds a stale memoized term",
+                    )
+
+    @_timed
     def check_prop_clean_keys(
         self, partition, engine, containers, stale
     ) -> None:

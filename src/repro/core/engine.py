@@ -15,6 +15,7 @@ One :func:`run_prop` call executes the full algorithm:
 from __future__ import annotations
 
 import time
+from itertools import accumulate
 from typing import List, Optional, Sequence
 
 from ..audit import AuditConfig
@@ -87,12 +88,21 @@ class PropGains(GainPolicy):
 
     Under the recompute strategy, ``stale`` flags each node whose gain
     inputs — the side and probability of every other pin of its nets —
-    may have changed since its last :meth:`node_gain` call.  A node with
+    may have changed since its gain was last computed.  A node with
     a clear flag holds exactly that gain as its key, so the top-k refresh
     skips it: recomputing would return the stored key bit for bit.  A
     move flags nothing by itself: every free pin whose gain reads the
     moved node is its neighbour, and the neighbour refresh recomputes
     each of them straight after.
+
+    The same strategy sums gains from a per-pass memo of per-net terms
+    (:meth:`_memo_gain`).  Each net has an ``epoch`` that advances
+    whenever one of its terms may change: at a move, on every net of the
+    moved node (:meth:`_bump`); at a probability change, on every live
+    net of the changed node (:meth:`_mark_stale`).  Slot ``k`` of node
+    ``v`` (``slot_base[v]`` plus the net's position in
+    ``node_nets(v)``) holds the term of that net and counts as current
+    while its stamp equals the net's epoch.
     """
 
     phases = ("bootstrap", "refine", "gain_init", "move_loop")
@@ -108,6 +118,14 @@ class PropGains(GainPolicy):
         self.gains: List[float] = []
         self.contribs = None
         self.stale: Optional[List[bool]] = None
+        graph = partition.graph
+        self.slot_base = [0, *accumulate(
+            graph.node_degree(v) for v in range(graph.num_nodes)
+        )]
+        self.epoch: List[int] = []
+        self.stamps: List[int] = []
+        self.terms: List[float] = []
+        self._memo = ()
 
     def run_pass(self, balance, pass_index, auditor, rec, counters):
         engine = self.engine
@@ -163,8 +181,22 @@ class PropGains(GainPolicy):
         else:
             # all_gains() conditions by division (prod_mine / p(u)), which
             # is not bit-identical to node_gain's direct product: no
-            # pass-start key counts as clean.
-            self.stale = [True] * self.partition.graph.num_nodes
+            # pass-start key counts as clean, and the memo starts empty.
+            partition = self.partition
+            graph = partition.graph
+            self.stale = [True] * graph.num_nodes
+            self.epoch = [0] * graph.num_nets
+            self.stamps = [-1] * graph.num_pins
+            self.terms = [0.0] * graph.num_pins
+            # What the memo reads, bound once per pass (unlock_all
+            # replaces the locked-count lists between passes).
+            self._memo = (
+                graph.node_nets, self.slot_base, graph.nets,
+                graph.net_costs, partition.sides_view(), self.engine.p,
+                partition.locked_counts_view(0),
+                partition.locked_counts_view(1),
+                self.epoch, self.stamps, self.terms,
+            )
         return self.gains
 
     def apply_move(self, node, from_side, containers, counters) -> float:
@@ -174,6 +206,7 @@ class PropGains(GainPolicy):
             self._update_neighbors_cached(node, containers, counters)
             self._update_top_ranked_cached(containers, counters)
         else:
+            self._bump(node)
             self._update_neighbors(node, containers, counters)
             self._update_top_ranked(containers, counters)
         return immediate
@@ -183,6 +216,9 @@ class PropGains(GainPolicy):
         auditor.check_prop_gains(self.partition, self.engine)
         auditor.check_prop_kernel(self.partition, self.engine)
         if self.stale is not None:
+            auditor.check_prop_term_memo(
+                self.partition, self.engine, self.memo_terms
+            )
             auditor.check_prop_clean_keys(
                 self.partition, self.engine, containers, self.stale
             )
@@ -199,7 +235,6 @@ class PropGains(GainPolicy):
     def _update_neighbors(self, moved, containers, counters) -> None:
         """Sec. 3.4: refresh gain (and probability) of each free neighbor."""
         partition = self.partition
-        engine = self.engine
         graph = partition.graph
         update_p = self.config.update_neighbor_probabilities
         stale = self.stale
@@ -210,7 +245,7 @@ class PropGains(GainPolicy):
                     seen.add(nbr)
                     continue
                 seen.add(nbr)
-                gain = engine.node_gain(nbr)
+                gain = self._memo_gain(nbr)
                 if update_p:
                     self._set_probability(nbr, self.prob_fn(gain))
                 stale[nbr] = False
@@ -287,7 +322,6 @@ class PropGains(GainPolicy):
         k = self.config.top_update_count
         if k <= 0:
             return
-        engine = self.engine
         update_p = self.config.update_neighbor_probabilities
         stale = self.stale
         for side in (0, 1):
@@ -296,7 +330,7 @@ class PropGains(GainPolicy):
                     counters.topk_updates += 1
                 if not stale[node]:
                     continue
-                gain = engine.node_gain(node)
+                gain = self._memo_gain(node)
                 if gain != key:
                     if update_p:
                         self._set_probability(node, self.prob_fn(gain))
@@ -306,28 +340,97 @@ class PropGains(GainPolicy):
                 stale[node] = False
 
     def _mark_stale(self, node) -> None:
-        """Flag every pin of ``node``'s live nets: their gains read the
-        side and probability of ``node``.  A net locked on both sides
-        adds exactly 0 to every free pin's gain for the rest of the pass
+        """``p(node)`` changed: flag every pin of ``node``'s live nets and
+        advance those nets' epochs, since the pins' gains and terms read
+        ``p(node)``.  A net locked on both sides adds exactly 0 to every
+        free pin's gain for the rest of the pass
         (:meth:`~repro.core.gains.ProbabilisticGainEngine.node_gain`
-        skips it), so nothing that changes on it can stale a gain."""
-        partition = self.partition
-        graph = partition.graph
-        nets = graph.nets
-        locked0 = partition.locked_counts_view(0)
-        locked1 = partition.locked_counts_view(1)
+        skips it), so nothing that changes on it can stale a gain.
+
+        ``node``'s own slots on those nets are then stamped current
+        again: its terms do not read its own probability, and this walk
+        always follows ``node``'s own gain, which has just made each of
+        its live slots current."""
+        (node_nets, slot_base, nets, _, _, _, locked0, locked1,
+         epoch, stamps, _) = self._memo
         stale = self.stale
-        for net_id in graph.node_nets(node):
+        for k, net_id in enumerate(node_nets(node), slot_base[node]):
             if locked0[net_id] and locked1[net_id]:
                 continue
             for v in nets[net_id]:
                 stale[v] = True
+            e = epoch[net_id] + 1
+            epoch[net_id] = e
+            stamps[k] = e
 
     def _set_probability(self, node, value) -> None:
-        """Write ``p(node)``; a changed value flags the gains that read
-        it.  Called just after ``node``'s own gain was computed, so the
-        caller clears ``node``'s flag again: a node's gain does not read
-        its own probability."""
+        """Write ``p(node)``; a changed value flags the gains and advances
+        the epochs of the terms that read it.  Called just after
+        ``node``'s own gain was computed, so the caller clears ``node``'s
+        flag again: a node's gain does not read its own probability."""
         if value != self.engine.p[node]:
             self._mark_stale(node)
         self.engine.set_probability(node, value)
+
+    def _memo_gain(self, node) -> float:
+        """``engine.node_gain(node)``, summed from the term memo.
+
+        Walks ``node``'s nets in ``node_nets`` order.  A current slot
+        holds the very term ``node_gain`` would compute.  A dead net,
+        skipped as ``node_gain`` skips it, never has a current slot: the
+        move that kills a net advances its epoch, and nothing stamps a
+        dead net's slot.  Any other slot is recomputed (the same loop as
+        ``node_gain``'s) and stamped.  So the sum adds the same terms in
+        the same order as ``node_gain`` and is the same float, but it
+        reads the pins only of nets whose epoch moved since ``node``'s
+        last gain."""
+        (node_nets, slot_base, nets, net_costs, sides, p, locked0, locked1,
+         epoch, stamps, terms) = self._memo
+        s = sides[node]
+        total = 0.0
+        for k, net_id in enumerate(node_nets(node), slot_base[node]):
+            e = epoch[net_id]
+            if stamps[k] == e:
+                total += terms[k]
+                continue
+            if locked0[net_id] and locked1[net_id]:
+                continue
+            prod_a = 1.0
+            prod_b = 1.0
+            has_other = False
+            for v in nets[net_id]:
+                if v == node:
+                    continue
+                pv = p[v]
+                if sides[v] == s:
+                    prod_a *= pv
+                else:
+                    has_other = True
+                    prod_b *= pv
+            if has_other:
+                term = net_costs[net_id] * (prod_a - prod_b)
+            else:
+                term = net_costs[net_id] * (prod_a - 1.0)
+            terms[k] = term
+            stamps[k] = e
+            total += term
+        return total
+
+    def _bump(self, moved) -> None:
+        """``moved`` changed side and probability: every term on each of
+        its nets may have changed."""
+        epoch = self.epoch
+        for net_id in self.partition.graph.node_nets(moved):
+            epoch[net_id] += 1
+
+    def memo_terms(self, node) -> List[tuple]:
+        """``(net_id, term)`` for each current memo slot of ``node``."""
+        epoch = self.epoch
+        stamps = self.stamps
+        terms = self.terms
+        nets = self.partition.graph.node_nets(node)
+        return [
+            (net_id, terms[k])
+            for k, net_id in enumerate(nets, self.slot_base[node])
+            if stamps[k] == epoch[net_id]
+        ]

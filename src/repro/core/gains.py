@@ -334,17 +334,19 @@ class ProbabilisticGainEngine:
     def node_gain(self, node: int) -> float:
         """Total probabilistic gain ``g(u) = Σ_nets g_nt(u)``.
 
-        Hot path of the in-pass updates (called for every neighbor of every
-        moved node), so both side products of each net are accumulated in a
-        single pass over the net's pins instead of via two
-        :meth:`net_clearing_probability` calls.
+        Both side products of each net are accumulated in a single pass
+        over the net's pins instead of via two
+        :meth:`net_clearing_probability` calls.  The PROP move loop sums
+        the same terms from a memo (``PropGains._memo_gain``), which must
+        return this very float; this from-scratch sum is what the
+        auditor, ``figure1`` and the tests compare against.
 
         ``node`` must be free.  A net locked on both sides is skipped
         without reading its pins: both of its side products hold a
         locked pin (p = 0), so its term is ``c·(0 − 0)`` (Eqns. 5/6),
         and adding a zero never changes a sum that starts at +0.0.
-        ``PropGains._mark_stale`` skips the same nets; the two rules must
-        stay one.
+        ``PropGains._memo_gain`` and ``PropGains._mark_stale`` skip the
+        same nets; the rules must stay one.
         """
         part = self.partition
         graph = part.graph

@@ -19,7 +19,7 @@ drift from the true partition state.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core import PropPartitioner
 from ..datastructures import AddressablePriorityQueue
@@ -87,6 +87,10 @@ class UncoarsenState:
         for u in range(dyn.num_nodes):
             if dyn.alive[u]:
                 self.side_weights[sides[u]] += dyn.node_weight[u]
+        #: Pins whose queued key may differ from their gain: every pin
+        #: of each net a region or rebalance move made critical since
+        #: the pin's key was last set (see :meth:`_rerate_neighbors`).
+        self.marked: Set[int] = set()
         self.uncontract_batches = 0
         self.region_moves = 0
         self.rebalance_moves = 0
@@ -133,25 +137,39 @@ class UncoarsenState:
         return delta
 
     def _rerate_neighbors(self, pq: AddressablePriorityQueue, x: int) -> None:
-        """Re-key every still-queued pin of ``x``'s small nets by its
-        gain now that ``x`` has moved.
+        """Re-key the still-queued pins of ``x``'s small nets whose gain
+        ``x``'s move may have changed.
 
-        Each such pin is rerated once, however many small nets it shares
-        with ``x``: every rerate reads the same state, and the queue's
-        pop order depends only on its live entries, so the repeats could
-        only push the same key again."""
+        Moving ``x`` from side A to side B, with ``a`` and ``b`` pins
+        there before the move, changes another pin's Eqn.-1 term on a
+        net only if ``a <= 2`` or ``b <= 1`` (the net becomes or stops
+        being critical).  The pins of every such net of ``x``, large
+        nets included, are marked; a queued pin of a small net is
+        rerated, once, only while marked, and its mark then cleared.
+        An unmarked pin's gain is the key it holds, and re-pushing an
+        identical entry would leave the queue as it is."""
         dyn = self.dyn
         pins = dyn.pins
+        nets = dyn.nets_of[x]
         max_net_size = self.max_net_size
-        queued: Dict[int, None] = {}
-        for net in dyn.nets_of[x]:
+        marked = self.marked
+        if self.sides[x] == 0:
+            was, now = self.c1, self.c0
+        else:
+            was, now = self.c0, self.c1
+        for net in nets:
+            if was[net] <= 1 or now[net] <= 2:
+                marked.update(pins[net])
+        rerate: Dict[int, None] = {}
+        for net in nets:
             net_pins = pins[net]
             if 2 <= len(net_pins) <= max_net_size:
                 for y in net_pins:
-                    if y in pq:
-                        queued[y] = None
-        for y in queued:
+                    if y in marked and y in pq:
+                        rerate[y] = None
+        for y in rerate:
             pq.push(y, self._gain(y))
+        marked.difference_update(rerate)
 
     # ------------------------------------------------------------------
     # Uncontraction
@@ -206,6 +224,7 @@ class UncoarsenState:
         max_w = max(dyn.node_weight[x] for x in region)
         bounds = self.balance.slackened(max_w)
         pq = AddressablePriorityQueue()
+        self.marked.clear()
         for x in region:
             pq.push(x, self._gain(x))
         moves: List[int] = []
@@ -252,6 +271,7 @@ class UncoarsenState:
         dyn = self.dyn
         heavy = 0 if self.side_weights[0] > bal.hi else 1
         pq = AddressablePriorityQueue()
+        self.marked.clear()
         for u in range(dyn.num_nodes):
             if dyn.alive[u] and self.sides[u] == heavy:
                 pq.push(u, self._gain(u))

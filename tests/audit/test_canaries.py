@@ -93,12 +93,32 @@ def test_prop_wrong_incremental_gain_is_caught(monkeypatch, graph):
     _expect_violation(PropPartitioner(), graph, "prop-gain")
 
 
-def test_prop_unflagged_stale_gain_is_caught(monkeypatch, graph):
-    """If a move flags no pin stale, the top-k refresh skips nodes whose
-    gain did change; their keys must fail the clean-key check."""
+def _flags_only(mark_stale):
+    """Wrap a mutated flagging rule ``mark_stale(policy, node, flags)``
+    around the real stale walk, which also advances the term memo's
+    epochs: the memo stays exact, so only the stale flags are wrong."""
     from repro.core.engine import PropGains
 
-    monkeypatch.setattr(PropGains, "_mark_stale", lambda self, node: None)
+    original = PropGains._mark_stale
+
+    def walk(self, node):
+        flags = list(self.stale)
+        original(self, node)
+        mark_stale(self, node, flags)
+        self.stale[:] = flags
+
+    return walk
+
+
+def test_prop_unflagged_stale_gain_is_caught(monkeypatch, graph):
+    """If a probability change flags no pin stale, the top-k refresh
+    skips nodes whose gain did change; their keys must fail the
+    clean-key check."""
+    from repro.core.engine import PropGains
+
+    monkeypatch.setattr(
+        PropGains, "_mark_stale", _flags_only(lambda self, node, flags: None)
+    )
     _expect_violation(PropPartitioner(), graph, "prop-clean-key")
 
 
@@ -138,15 +158,52 @@ def test_prop_stale_walk_skipping_half_locked_nets_is_caught(
     on changed gains, which the clean-key check must catch."""
     from repro.core.engine import PropGains
 
-    def skips_half_locked(self, node):
+    def skips_half_locked(self, node, flags):
         part = self.partition
         for net_id in part.graph.node_nets(node):
             if not _locked_on_a_side(part, net_id):
                 for v in part.graph.net(net_id):
-                    self.stale[v] = True
+                    flags[v] = True
 
-    monkeypatch.setattr(PropGains, "_mark_stale", skips_half_locked)
+    monkeypatch.setattr(
+        PropGains, "_mark_stale", _flags_only(skips_half_locked)
+    )
     _expect_violation(PropPartitioner(), graph, "prop-clean-key")
+
+
+def test_prop_move_skipping_its_epoch_bump_is_caught(monkeypatch, graph):
+    """A move changes every term on the moved node's nets; if it leaves
+    their epochs alone, the neighbour refresh sums memoized terms that
+    still see the node unmoved, which the term-memo check must catch."""
+    from repro.core.engine import PropGains
+
+    monkeypatch.setattr(PropGains, "_bump", lambda self, moved: None)
+    _expect_violation(PropPartitioner(), graph, "prop-term-memo")
+
+
+def test_prop_restamp_of_a_slot_not_just_computed_is_caught(
+    monkeypatch, graph
+):
+    """After a probability change only the changed node's own slots may
+    be stamped current again (its terms do not read its own p).  Also
+    re-stamping the other pins' slots on its nets keeps terms that read
+    the old p, which the term-memo check must catch."""
+    from repro.core.engine import PropGains
+
+    original = PropGains._mark_stale
+
+    def restamps_every_pin(self, node):
+        original(self, node)
+        part = self.partition
+        graph_ = part.graph
+        for net_id in graph_.node_nets(node):
+            for v in graph_.net(net_id):
+                if v != node and not part.is_locked(v):
+                    k = self.slot_base[v] + graph_.node_nets(v).index(net_id)
+                    self.stamps[k] = self.epoch[net_id]
+
+    monkeypatch.setattr(PropGains, "_mark_stale", restamps_every_pin)
+    _expect_violation(PropPartitioner(), graph, "prop-term-memo")
 
 
 def test_corrupted_cut_bookkeeping_is_caught(monkeypatch, graph):

@@ -4,7 +4,9 @@ The unified rule (DESIGN.md decision 1) must reproduce each of the paper's
 equations, including every locked-net specialization, and the O(m)
 ``all_gains`` must agree with per-node recomputation bit for bit.
 ``node_gain`` skips nets locked on both sides; it must still equal, bit
-for bit, a plain left-to-right sum that visits them.
+for bit, a plain left-to-right sum that visits them.  The PROP pass sums
+memoized per-net terms instead; that sum must equal ``node_gain`` bit
+for bit after any sequence of moves and probability writes.
 """
 
 import math
@@ -14,6 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import PropConfig
+from repro.core.engine import PropGains
 from repro.core.gains import ProbabilisticGainEngine
 from repro.hypergraph import Hypergraph, hierarchical_circuit
 from repro.kernels import make_gain_engine
@@ -302,3 +306,93 @@ class TestDeadNetSkip:
         gain = engine.node_gain(0)
         assert gain == 0.0 and math.copysign(1.0, gain) == 1.0
         assert _left_to_right_gain(graph, sides, engine.p, 0) == 0.0
+
+
+class _CountingList(list):
+    """A probability vector that counts its element reads."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+@st.composite
+def _memo_runs(draw):
+    """A graph with single-pin and parallel nets and zero, repeated and
+    fractional costs, sides, probabilities, and a list of steps: a move
+    of a free node, or a probability write to one."""
+    graph = draw(st_repro.hypergraphs(max_nodes=10, max_net_size=6))
+    nets = list(graph.nets)
+    nets += draw(st.lists(st.sampled_from(nets), max_size=3))
+    cost = st.sampled_from([0.0, 0.1, 0.3, 1.0]) | st.floats(0.0, 4.0)
+    graph = Hypergraph(
+        nets,
+        num_nodes=graph.num_nodes,
+        net_costs=draw(st.lists(cost, min_size=len(nets), max_size=len(nets))),
+    )
+    n = graph.num_nodes
+    sides = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    probability = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    p = draw(st.lists(probability, min_size=n, max_size=n))
+    steps = draw(st.lists(
+        st.tuples(st.booleans(), st.integers(0, n - 1), probability),
+        max_size=12,
+    ))
+    return graph, sides, p, steps
+
+
+class TestTermMemo:
+    @pytest.mark.parametrize("kernel", ["python", "numpy"])
+    @given(run=_memo_runs())
+    @settings(max_examples=150, deadline=None)
+    def test_memoized_gain_equals_node_gain(self, kernel, run):
+        """Moves go through ``PropGains.apply_move`` (epoch bump,
+        neighbour and top-k refresh, their probability writes) and
+        probability writes through ``_set_probability`` right after the
+        node's own gain, as in a pass."""
+        graph, sides, probabilities, steps = run
+        partition = Partition(graph, sides)
+        policy = PropGains(partition, PropConfig(), kernel)
+        engine = policy.engine
+        for v, value in enumerate(probabilities):
+            engine.set_probability(v, value)
+        engine.p = p = _CountingList(engine.p)
+        policy.initial_keys()
+        containers = policy.new_containers()
+        for v in range(graph.num_nodes):
+            containers[sides[v]].insert(v, engine.node_gain(v))
+
+        def free_nodes():
+            return [
+                v for v in range(graph.num_nodes)
+                if not partition.is_locked(v)
+            ]
+
+        def check():
+            for v in free_nodes():
+                gain = policy._memo_gain(v)
+                p.reads = 0
+                assert policy._memo_gain(v) == gain
+                assert p.reads == 0
+                assert gain == engine.node_gain(v)
+
+        check()
+        for is_move, index, value in steps:
+            free = free_nodes()
+            if not free:
+                break
+            node = free[index % len(free)]
+            if is_move:
+                side = partition.side(node)
+                containers[side].remove(node)
+                policy.apply_move(node, side, containers, None)
+            else:
+                policy._memo_gain(node)
+                policy._set_probability(node, value)
+                # The node's own terms do not read its own probability.
+                p.reads = 0
+                policy._memo_gain(node)
+                assert p.reads == 0
+            check()

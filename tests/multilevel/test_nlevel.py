@@ -17,8 +17,9 @@ Five contracts from docs/multilevel.md are fenced here:
    coarsener re-sums only the partners the contraction can change.
 5. **Exact region rerates** — after every region-refinement and
    rebalance move, each still-queued pin of the moved node's small nets
-   is keyed by its from-scratch Eqn.-1 gain, computed once however many
-   small nets it shares with the moved node.
+   is keyed by its from-scratch Eqn.-1 gain, although its gain is
+   re-summed at most once, and only while a move has marked it: a pin
+   that shares only nets the move leaves non-critical keeps its key.
 """
 
 import json
@@ -29,6 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datastructures import AddressablePriorityQueue
 from repro.hypergraph import Hypergraph, hierarchical_circuit
 from repro.multilevel import (
     CoarseningJournal,
@@ -635,6 +637,7 @@ class _CheckedState(UncoarsenState):
         gain = self._gain
 
         def counted(y):
+            assert y in self.marked
             calls[y] += 1
             return gain(y)
 
@@ -651,7 +654,9 @@ class _CheckedState(UncoarsenState):
             for y in dyn.pins[net]
             if y in pq
         }
-        assert calls == Counter(queued)
+        assert set(calls) <= queued
+        assert all(count == 1 for count in calls.values())
+        assert not self.marked & set(calls)
         for y in queued:
             assert pq.priority(y) == _fresh_gain(self, y)
         type(self).checked += 1
@@ -701,6 +706,70 @@ def test_region_rerates_match_from_scratch_gains_in_a_run(monkeypatch):
     assert _CheckedState.checked >= (
         res.stats["region_moves"] + res.stats["rebalance_moves"]
     )
+
+
+@pytest.mark.parametrize("a", [1, 2, 3, 4])
+@pytest.mark.parametrize("b", [0, 1, 2, 3])
+def test_region_rerate_skips_pins_of_non_critical_nets(a, b):
+    """Node 0 leaves side 0 of a net with ``a`` pins there (node 0
+    included) and ``b`` on side 1.  That changes another pin's Eqn.-1
+    term only if ``a <= 2`` or ``b <= 1``; otherwise the other pins,
+    which share only this net with node 0, keep their keys unsummed."""
+    graph = Hypergraph([list(range(a + b))])
+    sides = [0] * a + [1] * b
+    balance = BalanceConstraint.fifty_fifty(graph)
+    state = UncoarsenState(DynamicHypergraph(graph), sides, balance)
+    pq = AddressablePriorityQueue()
+    for y in range(1, a + b):
+        pq.push(y, state._gain(y))
+    state._apply_move(0)
+    calls = Counter()
+    gain = state._gain
+
+    def counted(y):
+        calls[y] += 1
+        return gain(y)
+
+    state._gain = counted
+    state._rerate_neighbors(pq, 0)
+    critical = a <= 2 or b <= 1
+    assert calls == Counter(range(1, a + b) if critical else ())
+    for y in range(1, a + b):
+        assert pq.priority(y) == _fresh_gain(state, y)
+
+
+def test_region_rerate_counts_critical_large_nets():
+    """A net above ``max_net_size`` queues no pins, but ``_gain`` sums
+    it, so a move that makes it critical marks its pins too.  Node 0's
+    move leaves pin 1 alone on side 0 of the large net 0; node 2's move
+    then leaves the small net 1 non-critical, yet pin 1 must be rerated
+    there."""
+    graph = Hypergraph([[0, 1, 3, 4, 5, 9], [1, 2, 6, 7, 8]])
+    sides = [0, 0, 0, 1, 1, 1, 0, 1, 1, 1]
+    balance = BalanceConstraint.fifty_fifty(graph)
+    state = UncoarsenState(
+        DynamicHypergraph(graph), sides, balance, max_net_size=5
+    )
+    pq = AddressablePriorityQueue()
+    for y in range(3, 10):
+        pq.push(y, state._gain(y))
+    pq.push(1, state._gain(1))
+    rerated = []
+    for x in (0, 2):
+        state._apply_move(x)
+        calls = Counter()
+        gain = state._gain
+
+        def counted(y):
+            calls[y] += 1
+            return gain(y)
+
+        state._gain = counted
+        state._rerate_neighbors(pq, x)
+        del state._gain
+        rerated.append(calls)
+    assert rerated == [Counter(), Counter([1])]
+    assert pq.priority(1) == _fresh_gain(state, 1)
 
 
 def test_slackened_clamps_to_physical_bounds():
