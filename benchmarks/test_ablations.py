@@ -93,32 +93,6 @@ def test_ablation_probability_function(circuit, results_dir, benchmark):
     assert linear <= sigmoid * 1.4
 
 
-def test_ablation_update_strategy(circuit, results_dir, benchmark):
-    """Sec. 3.4 update discipline: full neighbor recompute vs the cached
-    Eqn. 5/6 contribution scheme — quality must be in the same band."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    recompute = run_many(
-        PropPartitioner(PropConfig(update_strategy="recompute")),
-        circuit, runs=RUNS,
-    )
-    cached = run_many(
-        PropPartitioner(PropConfig(update_strategy="cached")),
-        circuit, runs=RUNS,
-    )
-    write_result(
-        results_dir,
-        "ablation_update_strategy",
-        (
-            f"update strategy: recompute best={recompute.best_cut:.0f} "
-            f"({recompute.seconds_per_run:.2f}s/run)  "
-            f"cached best={cached.best_cut:.0f} "
-            f"({cached.seconds_per_run:.2f}s/run)"
-        ),
-    )
-    assert cached.best_cut <= recompute.best_cut * 1.2
-    assert recompute.best_cut <= cached.best_cut * 1.2
-
-
 def test_weighted_nets_prop_vs_fm_tree(circuit, results_dir, benchmark):
     """Timing-driven weighting (Sec. 4): with non-unit costs FM loses its
     bucket structure; PROP keeps its complexity and must stay competitive

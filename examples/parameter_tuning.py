@@ -4,7 +4,7 @@
 Two diagnostics in one script:
 
 1. a configuration sweep over the knobs the paper fixes (refinement
-   iterations, pinit, update strategy) with best/mean cut per point;
+   iterations, pinit, top-k update width) with best/mean cut per point;
 2. a gain-prediction report — how well the probabilistic gain that picks
    each move predicts its realized cut delta, and how often PROP invests
    in negative-immediate moves (Sec. 3's key behaviour).
@@ -26,7 +26,7 @@ def main() -> None:
         {
             "refinement_iterations": [0, 2],
             "pinit": [0.6, 0.95],
-            "update_strategy": ["recompute", "cached"],
+            "top_update_count": [0, 5],
         },
         runs=3,
         circuit_name="t5@0.25",

@@ -455,48 +455,14 @@ class PassAuditor:
                 )
 
     @_timed
-    def check_prop_kernel(self, partition, engine) -> None:
-        """The numpy backend's per-net product cache matches brute force.
-
-        No-op for engines without a product cache: the python backend, and
-        the numpy backend until the cached strategy creates its cache.
-        Every *valid* cache entry must equal the sequential left-to-right
-        product of its side's pin probabilities **exactly** — the kernels
-        promise bit-identity, so any tolerance here would hide the very
-        drift the differential contract forbids.
-        """
-        snapshot = getattr(engine, "product_cache_snapshot", None)
-        if snapshot is None or not self.config.check_gains:
-            return
-        graph = self.graph
-        p = engine.p
-        for net_id, prod0, prod1 in snapshot():
-            ref0 = 1.0
-            ref1 = 1.0
-            for v in graph.net(net_id):
-                if partition.side(v) == 0:
-                    ref0 *= p[v]
-                else:
-                    ref1 *= p[v]
-            self.checks_run += 1
-            if prod0 != ref0 or prod1 != ref1:
-                raise self._violation(
-                    "kernel-product-cache",
-                    (ref0, ref1),
-                    (prod0, prod1),
-                    move_index=self._move_index,
-                    detail=f"net {net_id} cached side products drifted",
-                )
-
-    @_timed
     def check_prop_term_memo(self, partition, engine, memo_terms) -> None:
         """Every current slot of PROP's term memo holds its exact term.
 
-        The recompute strategy sums a node's gain from memoized per-net
-        terms and recomputes only the slots whose net epoch moved.  So
-        each slot ``memo_terms(v)`` reports as current must equal the
-        Eqn. 2–6 term of that net from scratch **exactly**: the memoized
-        sum is only the same float as ``node_gain``'s if every term is.
+        PROP's refreshes sum a node's gain from memoized per-net terms
+        and recompute only the slots whose net epoch moved.  So each slot
+        ``memo_terms(v)`` reports as current must equal the Eqn. 2–6 term
+        of that net from scratch **exactly**: the memoized sum is only the
+        same float as ``node_gain``'s if every term is.
         """
         if not self.config.check_gains:
             return
@@ -525,10 +491,10 @@ class PassAuditor:
     ) -> None:
         """Every free node with a clear stale flag holds its exact gain.
 
-        The recompute strategy's top-k refresh skips a node whose flag is
-        clear, on the grounds that recomputing it would return its stored
-        key.  So that key must equal ``node_gain`` **exactly**, as a
-        recompute would compare it.
+        PROP's top-k refresh skips a node whose flag is clear, on the
+        grounds that recomputing it would return its stored key.  So that
+        key must equal ``node_gain`` **exactly**, as a recompute would
+        compare it.
         """
         if not self.config.check_gains:
             return

@@ -12,11 +12,6 @@ Two engines that share tie-breaking rules must agree move for move:
 
 * ``run_fm(container="tree")``  vs  :func:`reference_fm_run`
 * ``run_la(k)``                 vs  :func:`reference_la_run`
-* PROP ``update_strategy="recompute"`` vs ``"cached"`` with in-pass
-  probability re-derivation off (two independent incremental
-  realizations of the same function; see
-  :func:`differential_prop_strategies` for why the paper-default
-  probability updates are excluded)
 * any audited run vs its unaudited twin (auditing is read-only)
 
 FM-bucket is excluded from move-level comparison: its LIFO bucket ties
@@ -276,21 +271,6 @@ def la_trajectory(
     )
 
 
-def prop_trajectory(
-    graph: Hypergraph,
-    initial_sides: Sequence[int],
-    balance,
-    config=None,
-) -> Trajectory:
-    """Trajectory of PROP under a given config."""
-    from ..core.engine import run_prop
-
-    return _capture(
-        run_prop, graph, initial_sides, balance,
-        "PROP", config=config,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Seeded grids
 # ---------------------------------------------------------------------------
@@ -329,54 +309,12 @@ def differential_la(graph, initial_sides, balance, k=2, seed=0) -> DifferentialR
     )
 
 
-def differential_prop_strategies(
-    graph, initial_sides, balance, seed=0
-) -> DifferentialReport:
-    """PROP "recompute" vs. "cached" update strategies, one instance.
-
-    With in-pass probability re-derivation disabled the two strategies
-    are independent realizations of the same function — probabilities
-    only change via locking, so the cached Eqn. 5/6 contribution deltas
-    must reproduce the recomputed gains exactly, and the trajectories
-    must be identical; a drift means one of the delta rules is wrong.
-
-    (Under ``update_neighbor_probabilities=True`` — the paper default —
-    the strategies legitimately diverge: each feeds the probability
-    function its own flavour of gain staleness, so a neighbor's new
-    probability, and hence the subsequent trajectory, differs by design.
-    That regime is covered by the runtime auditor instead, which checks
-    each strategy against the Eqn. 2–6 oracle under its *own*
-    probabilities.)
-    """
-    from ..core.config import PropConfig
-
-    a = prop_trajectory(
-        graph, initial_sides, balance,
-        config=PropConfig(
-            update_strategy="recompute",
-            update_neighbor_probabilities=False,
-        ),
-    )
-    b = prop_trajectory(
-        graph, initial_sides, balance,
-        config=PropConfig(
-            update_strategy="cached",
-            update_neighbor_probabilities=False,
-        ),
-    )
-    return DifferentialReport(
-        label="prop-recompute-vs-cached", seed=seed,
-        num_nodes=graph.num_nodes, num_moves=len(a.moves),
-        mismatch=compare_trajectories(a, b),
-    )
-
-
 def run_differential_grid(
     seeds: Sequence[int],
     *,
     max_nodes: int = 14,
     balance_spec: str = "50-50",
-    checks: Sequence[str] = ("fm", "la2", "la3", "prop"),
+    checks: Sequence[str] = ("fm", "la2", "la3"),
 ) -> List[DifferentialReport]:
     """Run every requested differential over a seeded instance grid.
 
@@ -404,8 +342,4 @@ def run_differential_grid(
             reports.append(differential_la(graph, sides, balance, k=2, seed=seed))
         if "la3" in checks:
             reports.append(differential_la(graph, sides, balance, k=3, seed=seed))
-        if "prop" in checks:
-            reports.append(
-                differential_prop_strategies(graph, sides, balance, seed=seed)
-            )
     return reports

@@ -15,7 +15,7 @@ bit-equal in practice; audits still compare with a small tolerance.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..hypergraph import Hypergraph
 
@@ -139,21 +139,6 @@ def prop_gain(
         prop_net_gain(graph, sides, locked, p, node, net_id)
         for net_id in graph.node_nets(node)
     )
-
-
-def prop_net_contributions(
-    graph: Hypergraph,
-    sides: Sequence[int],
-    locked: Sequence[bool],
-    p: Sequence[float],
-    net_id: int,
-) -> Dict[int, float]:
-    """Per-free-pin gain contributions of one net (Eqn. 5/6 primitive)."""
-    return {
-        v: prop_net_gain(graph, sides, locked, p, v, net_id)
-        for v in graph.net(net_id)
-        if not locked[v]
-    }
 
 
 # ---------------------------------------------------------------------------

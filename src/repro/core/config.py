@@ -32,15 +32,6 @@ PROBABILITY_FUNCTIONS = ("linear", "sigmoid")
 #: :meth:`PropConfig.fingerprint_extra`.
 KERNELS = ("auto", "python", "numpy", "subround")
 
-#: In-pass neighbor-update strategies (Sec. 3.4):
-#: "recompute" — recompute each affected neighbor's full gain from current
-#: probabilities; "cached" — the paper's Eqn. 5/6 scheme: keep per-(node,
-#: net) gain contributions and adjust only the contributions of the nets
-#: the moved node touches.  Same staleness model (bounded by the top-k
-#: refresh), different constants.
-UPDATE_STRATEGIES = ("recompute", "cached")
-
-
 @dataclass(frozen=True)
 class PropConfig:
     """All knobs of the PROP partitioner.
@@ -69,12 +60,6 @@ class PropConfig:
     top_update_count:
         How many top-ranked nodes per side get a full gain recomputation
         after every move (the paper uses ~5).
-    update_neighbor_probabilities:
-        Whether a neighbor's probability is re-derived from its fresh gain
-        during in-pass updates (Sec. 3.4 implies yes; switchable for the
-        ablation bench).
-    update_strategy:
-        ``"recompute"`` or ``"cached"`` — see :data:`UPDATE_STRATEGIES`.
     max_passes:
         Safety cap on improvement passes; the loop normally exits when a
         pass yields ``Gmax <= 0`` (empirically 2–4 passes).
@@ -108,8 +93,6 @@ class PropConfig:
     init_method: str = "pinit"
     refinement_iterations: int = 2
     top_update_count: int = 5
-    update_neighbor_probabilities: bool = True
-    update_strategy: str = "recompute"
     max_passes: int = 100
     min_pass_gain: float = 1e-9
     kernel: str = "auto"
@@ -145,11 +128,6 @@ class PropConfig:
             raise ValueError(
                 f"unknown init_method {self.init_method!r}; "
                 f"choose from {INIT_METHODS}"
-            )
-        if self.update_strategy not in UPDATE_STRATEGIES:
-            raise ValueError(
-                f"unknown update_strategy {self.update_strategy!r}; "
-                f"choose from {UPDATE_STRATEGIES}"
             )
         if self.kernel not in KERNELS:
             raise ValueError(

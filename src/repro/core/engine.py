@@ -82,20 +82,20 @@ class PropGains(GainPolicy):
 
     Per pass: bootstrap the probabilities, refine gains ↔ probabilities,
     key the containers by the refined gains; after every move, refresh
-    the gain (and probability) of each free neighbor and of the
+    the gain and probability of each free neighbor and of the
     top-ranked nodes of each side (Sec. 3.4).  ``kernel`` names a
     resolved sequential backend (``"python"`` or ``"numpy"``).
 
-    Under the recompute strategy, ``stale`` flags each node whose gain
-    inputs — the side and probability of every other pin of its nets —
-    may have changed since its gain was last computed.  A node with
-    a clear flag holds exactly that gain as its key, so the top-k refresh
-    skips it: recomputing would return the stored key bit for bit.  A
-    move flags nothing by itself: every free pin whose gain reads the
-    moved node is its neighbour, and the neighbour refresh recomputes
-    each of them straight after.
+    ``stale`` flags each node whose gain inputs — the side and
+    probability of every other pin of its nets — may have changed since
+    its gain was last computed.  A node with a clear flag holds exactly
+    that gain as its key, so the top-k refresh skips it: recomputing
+    would return the stored key bit for bit.  A move flags nothing by
+    itself: every free pin whose gain reads the moved node is its
+    neighbour, and the neighbour refresh recomputes each of them
+    straight after.
 
-    The same strategy sums gains from a per-pass memo of per-net terms
+    Both refreshes sum gains from a per-pass memo of per-net terms
     (:meth:`_memo_gain`).  Each net has an ``epoch`` that advances
     whenever one of its terms may change: at a move, on every net of the
     moved node (:meth:`_bump`); at a probability change, on every live
@@ -116,8 +116,7 @@ class PropGains(GainPolicy):
         self.config = config
         self.prob_fn = make_probability_fn(config)
         self.gains: List[float] = []
-        self.contribs = None
-        self.stale: Optional[List[bool]] = None
+        self.stale: List[bool] = []
         graph = partition.graph
         self.slot_base = [0, *accumulate(
             graph.node_degree(v) for v in range(graph.num_nodes)
@@ -176,67 +175,53 @@ class PropGains(GainPolicy):
         return gains
 
     def initial_keys(self) -> List[float]:
-        if self.config.update_strategy == "cached":
-            self.contribs = self.engine.new_contribution_state()
-        else:
-            # all_gains() conditions by division (prod_mine / p(u)), which
-            # is not bit-identical to node_gain's direct product: no
-            # pass-start key counts as clean, and the memo starts empty.
-            partition = self.partition
-            graph = partition.graph
-            self.stale = [True] * graph.num_nodes
-            self.epoch = [0] * graph.num_nets
-            self.stamps = [-1] * graph.num_pins
-            self.terms = [0.0] * graph.num_pins
-            # What the memo reads, bound once per pass (unlock_all
-            # replaces the locked-count lists between passes).
-            self._memo = (
-                graph.node_nets, self.slot_base, graph.nets,
-                graph.net_costs, partition.sides_view(), self.engine.p,
-                partition.locked_counts_view(0),
-                partition.locked_counts_view(1),
-                self.epoch, self.stamps, self.terms,
-            )
+        # all_gains() conditions by division (prod_mine / p(u)), which is
+        # not bit-identical to node_gain's direct product: no pass-start
+        # key counts as clean, and the memo starts empty.
+        partition = self.partition
+        graph = partition.graph
+        self.stale = [True] * graph.num_nodes
+        self.epoch = [0] * graph.num_nets
+        self.stamps = [-1] * graph.num_pins
+        self.terms = [0.0] * graph.num_pins
+        # What the memo reads, bound once per pass (unlock_all replaces
+        # the locked-count lists between passes).
+        self._memo = (
+            graph.node_nets, self.slot_base, graph.nets,
+            graph.net_costs, partition.sides_view(), self.engine.p,
+            partition.locked_counts_view(0),
+            partition.locked_counts_view(1),
+            self.epoch, self.stamps, self.terms,
+        )
         return self.gains
 
     def apply_move(self, node, from_side, containers, counters) -> float:
         immediate = self.partition.move_and_lock(node)
         self.engine.on_lock(node)
-        if self.contribs is not None:
-            self._update_neighbors_cached(node, containers, counters)
-            self._update_top_ranked_cached(containers, counters)
-        else:
-            self._bump(node)
-            self._update_neighbors(node, containers, counters)
-            self._update_top_ranked(containers, counters)
+        self._bump(node)
+        self._update_neighbors(node, containers, counters)
+        self._update_top_ranked(containers, counters)
         return immediate
 
     def audit(self, auditor, containers) -> None:
         auditor.check_containers(self.partition, containers)
         auditor.check_prop_gains(self.partition, self.engine)
-        auditor.check_prop_kernel(self.partition, self.engine)
-        if self.stale is not None:
-            auditor.check_prop_term_memo(
-                self.partition, self.engine, self.memo_terms
-            )
-            auditor.check_prop_clean_keys(
-                self.partition, self.engine, containers, self.stale
-            )
+        auditor.check_prop_term_memo(
+            self.partition, self.engine, self.memo_terms
+        )
+        auditor.check_prop_clean_keys(
+            self.partition, self.engine, containers, self.stale
+        )
 
     def run_stats(self) -> dict:
-        engine = self.engine
         stats = super().run_stats()
-        stats["underflow_recomputes"] = float(engine.underflow_recomputes)
-        if self.csr is not None:
-            stats["product_cache_hits"] = float(engine.product_cache_hits)
-            stats["product_cache_misses"] = float(engine.product_cache_misses)
+        stats["underflow_recomputes"] = float(self.engine.underflow_recomputes)
         return stats
 
     def _update_neighbors(self, moved, containers, counters) -> None:
-        """Sec. 3.4: refresh gain (and probability) of each free neighbor."""
+        """Sec. 3.4: refresh gain and probability of each free neighbor."""
         partition = self.partition
         graph = partition.graph
-        update_p = self.config.update_neighbor_probabilities
         stale = self.stale
         seen = {moved}
         for net_id in graph.node_nets(moved):
@@ -246,67 +231,13 @@ class PropGains(GainPolicy):
                     continue
                 seen.add(nbr)
                 gain = self._memo_gain(nbr)
-                if update_p:
-                    self._set_probability(nbr, self.prob_fn(gain))
+                self._set_probability(nbr, self.prob_fn(gain))
                 stale[nbr] = False
                 if counters is not None:
                     counters.neighbor_updates += 1
                 container = containers[partition.side(nbr)]
                 if container.gain_of(nbr) != gain:
                     container.update(nbr, gain)
-                    if counters is not None:
-                        counters.container_updates += 1
-
-    def _update_neighbors_cached(self, moved, containers, counters) -> None:
-        """Sec. 3.4, Eqn. 5/6 flavour: only the contributions of the moved
-        node's nets are recomputed; each neighbor's total gain is adjusted
-        by the contribution delta.  Staleness from second-order
-        probability changes is repaired by the top-k step, exactly as in
-        the recompute strategy.
-
-        The contribution cache ``self.contribs`` is opaque here: the
-        engine created it (:meth:`~repro.core.gains.ProbabilisticGainEngine.new_contribution_state`)
-        and is the only code that reads or writes it — the numpy backend
-        uses a flat array plus incremental per-net products where the
-        python backend keeps per-node dicts.
-        """
-        partition = self.partition
-        engine = self.engine
-        update_p = self.config.update_neighbor_probabilities
-        for nbr, delta in engine.contribution_move_deltas(
-            moved, self.contribs, counters
-        ):
-            if counters is not None:
-                counters.neighbor_updates += 1
-            container = containers[partition.side(nbr)]
-            gain = container.gain_of(nbr) + delta
-            if update_p:
-                engine.set_probability(nbr, self.prob_fn(gain))
-            if delta:
-                container.update(nbr, gain)
-                if counters is not None:
-                    counters.container_updates += 1
-
-    def _update_top_ranked_cached(self, containers, counters) -> None:
-        """Top-k refresh for the cached strategy: full recompute of the
-        node's contributions (keeping its cache coherent) plus
-        probability update."""
-        k = self.config.top_update_count
-        if k <= 0:
-            return
-        engine = self.engine
-        update_p = self.config.update_neighbor_probabilities
-        for side in (0, 1):
-            for node, stale in containers[side].top(k):
-                gain = engine.refresh_contributions(
-                    node, self.contribs, counters
-                )
-                if counters is not None:
-                    counters.topk_updates += 1
-                if update_p:
-                    engine.set_probability(node, self.prob_fn(gain))
-                if gain != stale:
-                    containers[side].update(node, gain)
                     if counters is not None:
                         counters.container_updates += 1
 
@@ -322,7 +253,6 @@ class PropGains(GainPolicy):
         k = self.config.top_update_count
         if k <= 0:
             return
-        update_p = self.config.update_neighbor_probabilities
         stale = self.stale
         for side in (0, 1):
             for node, key in containers[side].top(k):
@@ -332,8 +262,7 @@ class PropGains(GainPolicy):
                     continue
                 gain = self._memo_gain(node)
                 if gain != key:
-                    if update_p:
-                        self._set_probability(node, self.prob_fn(gain))
+                    self._set_probability(node, self.prob_fn(gain))
                     containers[side].update(node, gain)
                     if counters is not None:
                         counters.container_updates += 1

@@ -26,7 +26,7 @@ The total gain of ``u`` is the sum over its nets: ``g(u) = Σ g_nt(u)``.
 from __future__ import annotations
 
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..partition import Partition
 
@@ -166,170 +166,6 @@ class ProbabilisticGainEngine:
         if has_other:
             return cost * (prod_a - prod_b)
         return cost * (prod_a - 1.0)
-
-    def net_pin_contributions(self, net_id: int) -> Dict[int, float]:
-        """Gain contribution of ``net_id`` to each of its *free* pins.
-
-        One O(q) scan computes both side products; each pin's conditional
-        product divides its own probability back out, which is exact to
-        1/2 ulp while the product is a normal float (free probabilities
-        are >= pmin > 0 and locked pins contribute the 0 factor
-        independently).  Products below :data:`DIV_SAFE_MIN` — gradual
-        underflow on high-degree nets — take the exact recompute branch
-        instead of the lossy division.  This is the cached-update
-        strategy's inner primitive — the realization of the paper's
-        Eqns. (5)/(6) update.
-        """
-        part = self.partition
-        graph = part.graph
-        p = self.p
-        sides = part.sides_view()
-        locked = part.locked_view()
-        prod = [1.0, 1.0]
-        counts = [0, 0]
-        pins = graph.net(net_id)
-        for v in pins:
-            s = sides[v]
-            prod[s] *= p[v]
-            counts[s] += 1
-        cost = graph.net_cost(net_id)
-        out: Dict[int, float] = {}
-        for v in pins:
-            if locked[v]:
-                continue
-            s = sides[v]
-            pv = p[v]
-            prod_mine = prod[s]
-            if pv > 0.0 and prod_mine >= DIV_SAFE_MIN:
-                prod_a = prod_mine / pv
-            else:
-                if 0.0 < prod_mine < DIV_SAFE_MIN:
-                    self.underflow_recomputes += 1
-                prod_a = self.net_clearing_probability(net_id, s, exclude=v)
-            if counts[1 - s] > 0:
-                out[v] = cost * (prod_a - prod[1 - s])
-            else:
-                out[v] = cost * (prod_a - 1.0)
-        return out
-
-    def contributions_for(self, node: int) -> Dict[int, float]:
-        """Per-net gain contributions of one free node: {net_id: g_net}."""
-        return {
-            net_id: self.net_gain(node, net_id)
-            for net_id in self.partition.graph.node_nets(node)
-        }
-
-    def all_contributions(self) -> List[Dict[int, float]]:
-        """Per-net contributions for every free node, in O(m).
-
-        The cached-update strategy (Sec. 3.4, Eqns. 5/6) keeps these as its
-        working state; locked nodes get empty dicts.  Uses the same shared
-        per-net product trick as :meth:`all_gains`.
-        """
-        part = self.partition
-        graph = part.graph
-        p = self.p
-        sides = part.sides_view()
-        locked = part.locked_view()
-        net_costs = graph.net_costs
-        counts0 = part.counts_view(0)
-        counts1 = part.counts_view(1)
-
-        prod0 = [1.0] * graph.num_nets
-        prod1 = [1.0] * graph.num_nets
-        for net_id, pins in enumerate(graph.nets):
-            a = b = 1.0
-            for v in pins:
-                if sides[v] == 0:
-                    a *= p[v]
-                else:
-                    b *= p[v]
-            prod0[net_id], prod1[net_id] = a, b
-
-        contribs: List[Dict[int, float]] = [dict() for _ in range(graph.num_nodes)]
-        for node in range(graph.num_nodes):
-            if locked[node]:
-                continue
-            s = sides[node]
-            pu = p[node]
-            entry = contribs[node]
-            for net_id in graph.node_nets(node):
-                cost = net_costs[net_id]
-                if s == 0:
-                    prod_mine, prod_other = prod0[net_id], prod1[net_id]
-                    other_count = counts1[net_id]
-                else:
-                    prod_mine, prod_other = prod1[net_id], prod0[net_id]
-                    other_count = counts0[net_id]
-                if pu > 0.0 and prod_mine >= DIV_SAFE_MIN:
-                    prod_a = prod_mine / pu
-                else:
-                    if 0.0 < prod_mine < DIV_SAFE_MIN:
-                        self.underflow_recomputes += 1
-                    prod_a = self.net_clearing_probability(
-                        net_id, s, exclude=node
-                    )
-                if other_count > 0:
-                    entry[net_id] = cost * (prod_a - prod_other)
-                else:
-                    entry[net_id] = cost * (prod_a - 1.0)
-        return contribs
-
-    # ------------------------------------------------------------------
-    # Cached-update strategy state (Sec. 3.4, Eqns. 5/6)
-    # ------------------------------------------------------------------
-    # The pass engine treats the contribution cache as an opaque value
-    # produced by :meth:`new_contribution_state` and threaded back through
-    # :meth:`contribution_move_deltas` / :meth:`refresh_contributions`.
-    # This backend keeps a per-node dict {net_id: contribution}; the numpy
-    # backend (:mod:`repro.kernels`) overrides all three with a flat
-    # per-pin array plus an incrementally maintained per-net product cache.
-
-    def new_contribution_state(self):
-        """Fresh cached-strategy state for a pass (bootstrap, Eqn. 5/6)."""
-        return self.all_contributions()
-
-    def contribution_move_deltas(
-        self, moved: int, contribs, counters=None
-    ) -> List[Tuple[int, float]]:
-        """Refresh the contributions of ``moved``'s nets; return gain deltas.
-
-        Recomputes the per-pin contributions of every net of the
-        just-locked ``moved`` node, folds them into ``contribs``, and
-        returns ``(neighbor, gain_delta)`` pairs in first-touch order —
-        including zero-delta neighbors, whose probabilities the engine
-        still re-derives (their container gain may be stale relative to
-        the stored probability).
-        """
-        graph = self.partition.graph
-        deltas: Dict[int, float] = {}
-        for net_id in graph.node_nets(moved):
-            if counters is not None:
-                counters.cache_net_recomputes += 1
-            for nbr, new_c in self.net_pin_contributions(net_id).items():
-                entry = contribs[nbr]
-                old_c = entry.get(net_id, 0.0)
-                if new_c != old_c:
-                    entry[net_id] = new_c
-                    deltas[nbr] = deltas.get(nbr, 0.0) + (new_c - old_c)
-                    if counters is not None:
-                        counters.cache_entry_deltas += 1
-                else:
-                    deltas.setdefault(nbr, 0.0)
-        return list(deltas.items())
-
-    def refresh_contributions(self, node: int, contribs, counters=None) -> float:
-        """Full per-net recompute for a top-ranked node; returns its gain.
-
-        Keeps the node's cache entry coherent (the top-k step of the
-        cached strategy) and returns the fresh total gain.
-        """
-        entry = self.contributions_for(node)
-        gain = sum(entry.values())
-        contribs[node] = entry
-        if counters is not None:
-            counters.cache_net_recomputes += len(entry)
-        return gain
 
     def node_gain(self, node: int) -> float:
         """Total probabilistic gain ``g(u) = Σ_nets g_nt(u)``.

@@ -13,8 +13,7 @@ into contiguous arrays once per run (``run_prop`` / ``run_fm`` /
   ``graph.node_nets`` order: ``nm_net[i]`` / ``nm_owner[i]`` with
   ``node_offset[v] .. node_offset[v+1]`` the slice of node ``v``;
 * **cross-links** — ``netpin_to_nodepin[j]`` maps the net-major pin ``j``
-  to its node-major index, so the incremental move engine can address the
-  flat contribution cache from a net scan.
+  to its node-major index.
 
 Pin order is load-bearing: the kernels promise bit-identical results to
 the scalar loops, which accumulate per-net products in net-pin order and

@@ -43,20 +43,11 @@ of the primitives used here (and *only* these primitives):
   be used here.)
 * Elementwise divide/subtract/multiply are IEEE-correct per element, so
   they match the corresponding scalar expressions exactly.
-
-Under ``update_strategy="cached"`` the engine also keeps a per-net
-side-product cache (plain Python lists — the per-move working set is a
-handful of nets, where list indexing beats ndarray indexing and avoids
-leaking ``np.float64`` into gain containers and journals).  It exists
-only from the first :meth:`NumpyGainEngine.new_contribution_state`,
-which fills it wholesale; ``set_probability``/``on_lock``/``fill`` then
-invalidate it, so a move costs O(pins of the moved node's nets) without
-rescanning unchanged nets.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -211,21 +202,16 @@ def prop_gains(
     locked: Optional[np.ndarray],
     prods: np.ndarray,
     nodes: Segments = None,
-    contributions: bool = False,
     scratch: Optional[KernelScratch] = None,
 ) -> Tuple[np.ndarray, int]:
     """Probabilistic gains (Eqns. 3/4) of ``nodes``.
 
     Reads the side-major stack that :func:`prop_products` wrote for
     every net of ``nodes``.  ``locked`` is a per-node bool array, or
-    ``None`` when no node is locked.  Returns ``(values, underflows)``:
-    ``values`` holds one gain per node of ``nodes``, in order, with
-    locked nodes at ``0.0`` — or, with ``contributions=True``, one
-    contribution per (node, net) incidence in node-major order, where
-    locked owners' entries are garbage the caller must ignore (a view of
-    ``scratch``, valid until its next use).  ``underflows`` counts the
-    side products below :data:`DIV_SAFE_MIN` that took the exact
-    recompute branch.
+    ``None`` when no node is locked.  Returns ``(gains, underflows)``:
+    ``gains`` holds one gain per node of ``nodes``, in order, with
+    locked nodes at ``0.0``; ``underflows`` counts the side products
+    below :data:`DIV_SAFE_MIN` that took the exact recompute branch.
 
     Mine/other side values are fetched with one gather each from the
     flat index ``mine = side * num_nets + net`` and its mirror
@@ -276,8 +262,6 @@ def prop_gains(
         out=scratch("contrib", k),
     )
     np.multiply(_take(csr.nm_cost, inc, scratch, "cost"), contrib, out=contrib)
-    if contributions:
-        return contrib, underflows
     gains = np.bincount(slot, weights=contrib, minlength=width)
     if locked is not None:
         gains[locked if nodes is None else locked[nodes]] = 0.0
@@ -332,29 +316,16 @@ def fm_gains(
 
 
 class NumpyGainEngine(ProbabilisticGainEngine):
-    """Drop-in :class:`ProbabilisticGainEngine` with vectorized kernels.
+    """Drop-in :class:`ProbabilisticGainEngine` with a vectorized
+    :meth:`all_gains`.
 
-    Overrides the O(m) bulk computations (:meth:`all_gains` and the
-    cached-strategy bootstrap) with the array kernels above over a
-    :class:`CsrView`, and the cached-strategy move update with an
-    incremental engine that reuses per-net side products across moves
-    when no pin of the net has changed.  Everything else — scalar
+    Overrides the O(m) sweep of the pass-start refinement with the array
+    kernels above over a :class:`CsrView`.  Everything else — scalar
     ``node_gain``, probability maintenance, validation — is inherited, so
-    the recompute-strategy move loop is *identical* code to the python
-    backend.
+    the move loop is *identical* code to the python backend.
     """
 
-    __slots__ = (
-        "csr",
-        "_prods",
-        "_scratch",
-        "_prod0",
-        "_prod1",
-        "_prod_valid",
-        "_dirty_nodes",
-        "product_cache_hits",
-        "product_cache_misses",
-    )
+    __slots__ = ("csr", "_prods", "_scratch")
 
     kernel_name = "numpy"
 
@@ -362,69 +333,17 @@ class NumpyGainEngine(ProbabilisticGainEngine):
         self,
         partition: Partition,
         probabilities: Optional[Sequence[float]] = None,
-        csr: Optional[CsrView] = None,
     ) -> None:
         super().__init__(partition, probabilities)
-        self.csr = csr if csr is not None else CsrView(partition.graph)
-        num_nets = partition.graph.num_nets
-        # Side-major product stack the bulk kernels write.
-        self._prods = np.empty(2 * num_nets)
+        self.csr = CsrView(partition.graph)
+        # Side-major product stack the sweep writes.
+        self._prods = np.empty(2 * partition.graph.num_nets)
         self._scratch = KernelScratch()
-        #: Cached per-net side clearing-products (Sec. 3.1's p(n^{1→2})
-        #: without exclusions) and their validity flags.  ``_prod_valid``
-        #: is ``None`` until :meth:`new_contribution_state` creates the
-        #: cache: the recompute strategy never reads it, so it pays for
-        #: no invalidations.
-        self._prod0: List[float] = []
-        self._prod1: List[float] = []
-        self._prod_valid: Optional[List[bool]] = None
-        # Deferred invalidation: probability writes append the touched
-        # node here (O(1)) instead of walking its nets; the walk happens
-        # once, at the next cache read (see _flush_invalidations).
-        self._dirty_nodes: List[int] = []
-        #: Incremental-engine telemetry: nets whose cached products were
-        #: reused / had to be rescanned during move updates.
-        self.product_cache_hits = 0
-        self.product_cache_misses = 0
 
-    # ------------------------------------------------------------------
-    # Cache invalidation — any probability change invalidates the products
-    # of the touched node's nets.  Side changes (moves) only happen via
-    # move_and_lock during a pass, whose on_lock lands here too; rollback
-    # moves between passes are covered because every pass bootstrap
-    # rewrites all free probabilities before any product is read.
-    # ------------------------------------------------------------------
-    def set_probability(self, node: int, value: float) -> None:
-        super().set_probability(node, value)
-        if self._prod_valid is not None:
-            self._dirty_nodes.append(node)
-
-    def fill(self, value: float) -> None:
-        super().fill(value)
-        if self._prod_valid is not None:
-            self._prod_valid = [False] * self.csr.num_nets
-            self._dirty_nodes.clear()
-
-    def on_lock(self, node: int) -> None:
-        super().on_lock(node)
-        if self._prod_valid is not None:
-            self._dirty_nodes.append(node)
-
-    def _flush_invalidations(self) -> None:
-        """Apply deferred invalidations before any validity flag is read."""
-        valid = self._prod_valid
-        node_nets = self.partition.graph.node_nets
-        for v in self._dirty_nodes:
-            for net_id in node_nets(v):
-                valid[net_id] = False
-        self._dirty_nodes.clear()
-
-    # ------------------------------------------------------------------
-    # Vectorized bulk sweeps
-    # ------------------------------------------------------------------
-    def _sweep(self, contributions: bool) -> np.ndarray:
-        """One :func:`prop_products` + :func:`prop_gains` sweep over the
-        whole graph from the engine's probabilities and the partition."""
+    def all_gains(self) -> List[float]:
+        """Bit-identical :meth:`ProbabilisticGainEngine.all_gains`: one
+        :func:`prop_products` + :func:`prop_gains` sweep over the whole
+        graph from the engine's probabilities and the partition."""
         part = self.partition
         p = np.asarray(self.p, dtype=np.float64)
         sides = np.asarray(part.sides_view(), dtype=np.intp)
@@ -433,155 +352,11 @@ class NumpyGainEngine(ProbabilisticGainEngine):
             if part.num_locked else None
         )
         prop_products(self.csr, p, sides, self._prods, scratch=self._scratch)
-        values, underflows = prop_gains(
-            self.csr, p, sides, locked, self._prods,
-            contributions=contributions, scratch=self._scratch,
+        gains, underflows = prop_gains(
+            self.csr, p, sides, locked, self._prods, scratch=self._scratch,
         )
         self.underflow_recomputes += underflows
-        return values
-
-    def all_gains(self) -> List[float]:
-        """Vectorized :meth:`ProbabilisticGainEngine.all_gains` (bit-identical)."""
-        return self._sweep(contributions=False).tolist()
-
-    # ------------------------------------------------------------------
-    # Cached-update strategy (Sec. 3.4, Eqns. 5/6) — incremental engine
-    # ------------------------------------------------------------------
-    # State layout: a flat per-(node, net) contribution list in node-major
-    # order, addressed via csr.node_offset / csr.netpin_to_nodepin, instead
-    # of the python backend's per-node dicts.  Bootstrap is vectorized;
-    # per-move updates are scalar loops over the moved node's nets (a
-    # handful of pins) that reuse cached side products when valid.
-
-    def new_contribution_state(self) -> List[float]:
-        """Vectorized bootstrap of the flat contribution cache.
-
-        Also (re)fills the per-net product cache, every entry valid.
-        Only valid values for *free* nodes are stored (matching the scalar
-        backend, which gives locked nodes empty dicts); the pass engine
-        calls this before any node is locked.
-        """
-        contrib = self._sweep(contributions=True)
-        E = self.csr.num_nets
-        self._prod0 = self._prods[:E].tolist()
-        self._prod1 = self._prods[E:].tolist()
-        self._prod_valid = [True] * E
-        self._dirty_nodes.clear()
-        return contrib.tolist()
-
-    def contribution_move_deltas(
-        self, moved: int, contribs: List[float], counters=None
-    ) -> List[Tuple[int, float]]:
-        """Incremental Eqn. (5)/(6) refresh around a just-locked move.
-
-        Identical arithmetic, visit order, and return order to the python
-        backend's ``net_pin_contributions``-based version; the only
-        difference is that a net whose cached side products are still
-        valid skips the O(q) product rescan.
-        """
-        part = self.partition
-        graph = part.graph
-        p = self.p
-        sides = part.sides_view()
-        locked = part.locked_view()
-        counts0 = part.counts_view(0)
-        counts1 = part.counts_view(1)
-        net_costs = graph.net_costs
-        net_offset = self.csr.net_offset_list
-        nodepin = self.csr.netpin_to_nodepin_list
-        self._flush_invalidations()
-        valid = self._prod_valid
-        prod0 = self._prod0
-        prod1 = self._prod1
-        deltas = {}
-        for net_id in graph.node_nets(moved):
-            if counters is not None:
-                counters.cache_net_recomputes += 1
-            pins = graph.net(net_id)
-            if valid[net_id]:
-                a = prod0[net_id]
-                b = prod1[net_id]
-                self.product_cache_hits += 1
-                if counters is not None:
-                    counters.product_cache_hits += 1
-            else:
-                a = b = 1.0
-                for v in pins:
-                    if sides[v] == 0:
-                        a *= p[v]
-                    else:
-                        b *= p[v]
-                prod0[net_id] = a
-                prod1[net_id] = b
-                valid[net_id] = True
-                self.product_cache_misses += 1
-                if counters is not None:
-                    counters.product_cache_misses += 1
-            cost = net_costs[net_id]
-            c0 = counts0[net_id]
-            c1 = counts1[net_id]
-            base = net_offset[net_id]
-            for i, v in enumerate(pins):
-                if locked[v]:
-                    continue
-                sv = sides[v]
-                pv = p[v]
-                prod_mine = a if sv == 0 else b
-                if pv > 0.0 and prod_mine >= DIV_SAFE_MIN:
-                    prod_a = prod_mine / pv
-                else:
-                    if 0.0 < prod_mine < DIV_SAFE_MIN:
-                        self.underflow_recomputes += 1
-                    prod_a = self.net_clearing_probability(net_id, sv, exclude=v)
-                if sv == 0:
-                    new_c = cost * (prod_a - b) if c1 > 0 else cost * (prod_a - 1.0)
-                else:
-                    new_c = cost * (prod_a - a) if c0 > 0 else cost * (prod_a - 1.0)
-                idx = nodepin[base + i]
-                old_c = contribs[idx]
-                if new_c != old_c:
-                    contribs[idx] = new_c
-                    deltas[v] = deltas.get(v, 0.0) + (new_c - old_c)
-                    if counters is not None:
-                        counters.cache_entry_deltas += 1
-                else:
-                    deltas.setdefault(v, 0.0)
-        return list(deltas.items())
-
-    def refresh_contributions(
-        self, node: int, contribs: List[float], counters=None
-    ) -> float:
-        """Full per-net recompute for one node into the flat cache."""
-        graph = self.partition.graph
-        start = self.csr.node_offset_list[node]
-        vals = [
-            self.net_gain(node, net_id) for net_id in graph.node_nets(node)
-        ]
-        gain = sum(vals)
-        for i, g in enumerate(vals):
-            contribs[start + i] = g
-        if counters is not None:
-            counters.cache_net_recomputes += len(vals)
-        return gain
-
-    # ------------------------------------------------------------------
-    # Audit hook
-    # ------------------------------------------------------------------
-    def product_cache_snapshot(self) -> Iterator[Tuple[int, float, float]]:
-        """Yield ``(net_id, prod0, prod1)`` for every *valid* cache entry
-        (none before the cache exists).
-
-        :meth:`repro.audit.PassAuditor.check_prop_kernel` recomputes each
-        yielded product sequentially and demands exact equality.
-        """
-        if self._prod_valid is None:
-            return
-        self._flush_invalidations()
-        prod0 = self._prod0
-        prod1 = self._prod1
-        for net_id, ok in enumerate(self._prod_valid):
-            if ok:
-                yield net_id, prod0[net_id], prod1[net_id]
+        return gains.tolist()
 
 
 # ----------------------------------------------------------------------

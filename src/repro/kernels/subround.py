@@ -21,8 +21,8 @@ kernel restructures a pass along the synchronous sub-round scheme of
    :meth:`repro.partition.Partition.apply_batch` flips every node with
    precomputed immediate gains (exact, because net-disjointness means no
    batch move can change another's gain), and the next sub-round's
-   vectorized gain sweep doubles as the wholesale side-product /
-   contribution refresh that the sequential loop performs move by move.
+   vectorized gain sweep doubles as the wholesale gain refresh that the
+   sequential loop performs move by move.
 
 **Determinism contract.**  Results are a pure function of
 ``(graph, initial sides, config, seed)`` — *never* of the worker count.
@@ -433,15 +433,14 @@ class SubroundPropEngine(_SubroundEngineBase):
 
     Keeps the paper's probability machinery: bootstrap (``pinit`` or
     deterministic FM gains), ``refinement_iterations`` gain↔probability
-    cycles at pass start, and — when
-    ``config.update_neighbor_probabilities`` is on — a probability
-    refresh for the *neighbors of the applied batch* after every
-    sub-round (the batched analogue of the per-move neighbor updates of
-    Sec. 3.4).  The locality of that refresh is also what makes the
-    inter-sub-round update incremental: only nets whose pins changed
-    probability or side need new products, and only nodes on those nets
-    need new gains — every other gain is mathematically unchanged, so
-    the subset recompute is exact, not approximate.
+    cycles at pass start, and a probability refresh for the *neighbors
+    of the applied batch* after every sub-round (the batched analogue of
+    the per-move neighbor updates of Sec. 3.4).  The locality of that
+    refresh is also what makes the inter-sub-round update incremental:
+    only nets whose pins changed probability or side need new products,
+    and only nodes on those nets need new gains — every other gain is
+    mathematically unchanged, so the subset recompute is exact, not
+    approximate.
     """
 
     algorithm = "PROP"
@@ -533,19 +532,14 @@ class SubroundPropEngine(_SubroundEngineBase):
         batch = self._last_batch
         if batch is None or batch.size == 0:
             return self._compute_gains().copy()
-        if self.config.update_neighbor_probabilities:
-            bj, _ = gather_segments(batch, csr.node_offset)
-            pj, _ = gather_segments(
-                np.unique(csr.nm_net[bj]), csr.net_offset
-            )
-            neighbors = np.unique(csr.pin_node[pj])
-            refresh = neighbors[~self._locked[neighbors]]
-            if refresh.size:
-                self.p[refresh] = self.prob_map(gains[refresh])
-                self.probability_writes += 1
-            changed = np.union1d(batch, refresh)
-        else:
-            changed = batch
+        bj, _ = gather_segments(batch, csr.node_offset)
+        pj, _ = gather_segments(np.unique(csr.nm_net[bj]), csr.net_offset)
+        neighbors = np.unique(csr.pin_node[pj])
+        refresh = neighbors[~self._locked[neighbors]]
+        if refresh.size:
+            self.p[refresh] = self.prob_map(gains[refresh])
+            self.probability_writes += 1
+        changed = np.union1d(batch, refresh)
         cj, _ = gather_segments(changed, csr.node_offset)
         nets = np.unique(csr.nm_net[cj])
         prop_products(

@@ -13,7 +13,7 @@ as a stream of typed events delivered to a
   FM, the lookahead vector for LA) and the realized immediate cut gain;
 * **counters** — per-pass operation counts (:class:`PassCounters`):
   container updates, probability refreshes, neighbor/top-k refreshes,
-  cached-strategy delta statistics;
+  sub-round batch and n-level contraction statistics;
 * **pass/run lifecycle** — pass boundaries with the post-rollback cut
   (the trace twin of ``BipartitionResult.pass_cuts``) and run boundaries
   with the final stats.
@@ -156,10 +156,6 @@ class PassCounters:
         "topk_updates",
         "container_updates",
         "probability_refreshes",
-        "cache_net_recomputes",
-        "cache_entry_deltas",
-        "product_cache_hits",
-        "product_cache_misses",
         "subrounds",
         "subround_batch_nodes",
         "subround_conflicts",
@@ -176,14 +172,6 @@ class PassCounters:
         self.topk_updates = 0
         self.container_updates = 0
         self.probability_refreshes = 0
-        self.cache_net_recomputes = 0
-        self.cache_entry_deltas = 0
-        # Incremental numpy engine only (always 0 on the python backend,
-        # hence dropped from traces by the as_dict zero filter): nets
-        # whose cached side products were reused vs. rescanned during
-        # cached-strategy move updates.
-        self.product_cache_hits = 0
-        self.product_cache_misses = 0
         # Subround kernel only (repro.kernels.subround): batches applied,
         # nodes moved in them, and candidates rejected during selection
         # for net conflicts / balance.

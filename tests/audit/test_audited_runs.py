@@ -1,7 +1,7 @@
 """Audited end-to-end runs: zero violations, bit-identical results.
 
 The core acceptance tests of the audit subsystem: every pass engine
-(PROP under both update strategies, FM with both containers, LA-2/LA-3)
+(PROP, FM with both containers, LA-2/LA-3)
 completes fully-audited runs on generator circuits without a single
 :class:`InvariantViolation`, and the audited run's moves are provably the
 same as the unaudited run's (identical sides and cut).
@@ -13,7 +13,6 @@ import pytest
 
 from repro import AuditConfig, FMPartitioner, LAPartitioner, PropPartitioner
 from repro.audit import AUDIT_ENV
-from repro.core import PropConfig
 from repro.hypergraph import BENCHMARK_NAMES, make_benchmark
 from repro.multirun import run_many
 
@@ -24,7 +23,6 @@ SMALL_CIRCUITS = ("t6", "struct", "balu")
 
 ENGINES = [
     ("PROP", PropPartitioner()),
-    ("PROP-cached", PropPartitioner(PropConfig(update_strategy="cached"))),
     ("FM-bucket", FMPartitioner("bucket")),
     ("FM-tree", FMPartitioner("tree")),
     ("LA-2", LAPartitioner(2)),

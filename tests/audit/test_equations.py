@@ -146,17 +146,15 @@ class TestThreeWayAgreement:
 
     @pytest.mark.parametrize("seed", range(30, 35))
     def test_bulk_paths_match_node_gain(self, seed):
-        """all_gains / per-net contributions agree with the per-node path."""
+        """all_gains agrees with the per-node path."""
         graph = random_instance(seed, max_nodes=10)
         rng = random.Random(seed ^ 0xBEEF)
         sides = [rng.randint(0, 1) for _ in range(graph.num_nodes)]
         p = [rng.uniform(0.05, 0.95) for _ in range(graph.num_nodes)]
         engine = _engine(graph, sides, p)
         gains = engine.all_gains()
-        contribs = engine.all_contributions()
         for u in range(graph.num_nodes):
             assert gains[u] == pytest.approx(engine.node_gain(u)), u
-            assert sum(contribs[u].values()) == pytest.approx(gains[u]), u
 
 
 class TestProbabilityMapValues:

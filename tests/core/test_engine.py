@@ -98,11 +98,6 @@ class TestConfigVariants:
         result = PropPartitioner(cfg).partition(medium_circuit, seed=1)
         result.verify(medium_circuit)
 
-    def test_no_neighbor_probability_updates(self, medium_circuit):
-        cfg = PropConfig(update_neighbor_probabilities=False)
-        result = PropPartitioner(cfg).partition(medium_circuit, seed=1)
-        result.verify(medium_circuit)
-
     def test_max_passes_cap(self, medium_circuit):
         cfg = PropConfig(max_passes=1)
         result = PropPartitioner(cfg).partition(medium_circuit, seed=1)

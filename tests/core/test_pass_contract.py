@@ -57,10 +57,9 @@ CASES = {
             g, s, b, PropConfig(kernel="numpy"), seed=CORPUS_SEED,
             recorder=r,
         ),
-        ("tentative_moves", "kernel_numpy", "underflow_recomputes",
-         "product_cache_hits", "product_cache_misses")
+        ("tentative_moves", "kernel_numpy", "underflow_recomputes")
         + _PROP_PHASES + _CSR,
-        "0d17f1320c42c8f3",
+        "89b2633c12a0eac2",
     ),
     "fm-bucket-python": (
         lambda g, s, b, r: run_fm(

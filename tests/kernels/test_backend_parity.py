@@ -1,7 +1,7 @@
 """Bit-parity of the numpy gain kernels against the scalar reference.
 
-The vectorized backend's contract is *exact* equivalence — every gain,
-contribution, and counter equals the scalar value bit for bit, because
+The vectorized backend's contract is *exact* equivalence — every gain
+and counter equals the scalar value bit for bit, because
 the gain containers break ties on ``(gain, node)`` and a one-ulp drift
 changes move order.  So every assertion here is ``==``, never
 ``pytest.approx``.
@@ -68,37 +68,13 @@ def test_all_gains_bit_identical(case):
     assert scalar.underflow_recomputes == vector.underflow_recomputes
 
 
-@settings(max_examples=40, deadline=None)
-@given(_parity_cases())
-def test_all_contributions_bit_identical(case):
-    graph, sides, probs = case
-    scalar, vector = _engine_pair(graph, sides, probs)
-    assert scalar.all_contributions() == vector.all_contributions()
-
-
-@settings(max_examples=40, deadline=None)
-@given(_parity_cases())
-def test_contribution_state_matches_scalar_dicts(case):
-    """The numpy flat state holds the same values as the scalar dicts."""
-    graph, sides, probs = case
-    scalar, vector = _engine_pair(graph, sides, probs)
-    dicts = scalar.all_contributions()
-    flat = vector.new_contribution_state()
-    csr = vector.csr
-    for v in range(graph.num_nodes):
-        start = csr.node_offset_list[v]
-        for i, net_id in enumerate(graph.node_nets(v)):
-            assert flat[start + i] == dicts[v][net_id]
-            assert type(flat[start + i]) is float
-
-
 @pytest.mark.parametrize("seed", [1, 5, 9, 33])
 def test_net_gain_and_pin_contributions_agree(seed):
-    """Backends agree bit-for-bit; the divide trick stays within 1/2 ulp.
+    """Backends agree bit-for-bit.
 
-    ``net_pin_contributions`` divides a pin's own probability back out of
-    the shared side product, which is allowed to differ from the direct
-    ``net_gain`` product by one rounding — but both *backends* take the
+    ``all_gains`` divides a pin's own probability back out of the shared
+    side product, which is allowed to differ from the direct
+    ``node_gain`` product by one rounding — but both *backends* take the
     identical divide, so their outputs are still exactly equal.
     """
     graph = weighted_instance(seed, max_nodes=16)
@@ -108,12 +84,6 @@ def test_net_gain_and_pin_contributions_agree(seed):
     rng = random.Random(seed)
     probs = [rng.uniform(0.01, 0.99) for _ in range(graph.num_nodes)]
     scalar, vector = _engine_pair(graph, sides, probs)
-    for net_id in range(graph.num_nets):
-        contribs = scalar.net_pin_contributions(net_id)
-        for v, c in contribs.items():
-            assert c == pytest.approx(
-                scalar.net_gain(v, net_id), rel=1e-12, abs=1e-12
-            )
     assert scalar.all_gains() == vector.all_gains()
 
 
@@ -123,7 +93,7 @@ class TestUnderflowGuard:
     160 pins at p = 0.01 drive the side product to 1e-320 — a subnormal
     below ``DIV_SAFE_MIN`` where the divide-back-out trick loses the low
     bits.  The guard must switch to the exact recompute branch, count the
-    event, and still match ``net_gain`` exactly — on both backends.
+    event, and still match ``node_gain`` exactly — on both backends.
     """
 
     DEGREE = 160
@@ -147,10 +117,10 @@ class TestUnderflowGuard:
         graph, sides, probs = self._build()
         engine = ProbabilisticGainEngine(Partition(graph, sides), probs)
         before = engine.underflow_recomputes
-        contribs = engine.net_pin_contributions(0)
+        gains = engine.all_gains()
         assert engine.underflow_recomputes > before
-        for v, c in contribs.items():
-            assert c == engine.net_gain(v, 0)
+        for v in range(graph.num_nodes):
+            assert gains[v] == engine.node_gain(v)
 
     def test_backends_agree_under_underflow(self):
         graph, sides, probs = self._build()
@@ -158,7 +128,6 @@ class TestUnderflowGuard:
         assert scalar.all_gains() == vector.all_gains()
         assert scalar.underflow_recomputes == vector.underflow_recomputes
         assert scalar.underflow_recomputes > 0
-        assert scalar.all_contributions() == vector.all_contributions()
 
     def test_zero_probability_not_counted_as_underflow(self):
         """p = 0 products are structural zeros, not underflow events."""
@@ -209,89 +178,6 @@ class TestInitialGainKernels:
         partition.lock(0)
         with pytest.raises(ValueError):
             la_initial_vectors(CsrView(graph), partition, 2)
-
-
-class TestIncrementalCache:
-    def test_move_deltas_match_scalar_and_count_misses(self):
-        """Under the just-locked contract, deltas are bit-equal and the
-        moved node's nets (invalidated by ``on_lock``) all rescan."""
-        from repro.telemetry.events import PassCounters
-
-        graph = weighted_instance(7, max_nodes=16)
-        sides = random_balanced_sides(graph, 7)
-        scalar, vector = _engine_pair(
-            graph, sides, [0.5] * graph.num_nodes
-        )
-        contribs_s = scalar.new_contribution_state()
-        contribs_v = vector.new_contribution_state()
-        assert vector.product_cache_misses == 0
-
-        moved = 0
-        scalar.partition.move_and_lock(moved)
-        scalar.on_lock(moved)
-        vector.partition.move_and_lock(moved)
-        vector.on_lock(moved)
-        cs, cv = PassCounters(), PassCounters()
-        ds = scalar.contribution_move_deltas(moved, contribs_s, cs)
-        dv = vector.contribution_move_deltas(moved, contribs_v, cv)
-        assert ds == dv
-        assert vector.product_cache_hits == 0
-        assert vector.product_cache_misses == len(graph.node_nets(moved))
-        assert cs.cache_net_recomputes == cv.cache_net_recomputes
-        assert cs.cache_entry_deltas == cv.cache_entry_deltas
-
-    def test_second_delta_pass_hits_cache(self):
-        """Re-reading the same nets with no invalidation in between reuses
-        the cached products and produces the same (all-zero) deltas."""
-        graph = weighted_instance(7, max_nodes=16)
-        sides = random_balanced_sides(graph, 7)
-        scalar, vector = _engine_pair(
-            graph, sides, [0.5] * graph.num_nodes
-        )
-        contribs_s = scalar.new_contribution_state()
-        contribs_v = vector.new_contribution_state()
-        moved = 0
-        for eng in (scalar, vector):
-            eng.partition.move_and_lock(moved)
-            eng.on_lock(moved)
-        scalar.contribution_move_deltas(moved, contribs_s)
-        vector.contribution_move_deltas(moved, contribs_v)
-
-        ds = scalar.contribution_move_deltas(moved, contribs_s)
-        dv = vector.contribution_move_deltas(moved, contribs_v)
-        assert ds == dv
-        assert all(delta == 0.0 for _, delta in dv)
-        assert vector.product_cache_hits == len(graph.node_nets(moved))
-
-    def test_set_probability_invalidates_cache(self):
-        graph = weighted_instance(7, max_nodes=16)
-        sides = random_balanced_sides(graph, 7)
-        vector = NumpyGainEngine(
-            Partition(graph, list(sides)), [0.5] * graph.num_nodes
-        )
-        vector.new_contribution_state()
-        touched = 0
-        vector.set_probability(touched, 0.25)
-        valid_nets = {net for net, _, _ in vector.product_cache_snapshot()}
-        for net_id in graph.node_nets(touched):
-            assert net_id not in valid_nets
-
-    def test_no_cache_work_without_contribution_state(self):
-        """Only the cached strategy reads the product cache, so until
-        ``new_contribution_state`` creates it, sweeps fill no cache and
-        probability writes and locks queue no invalidations."""
-        graph = weighted_instance(7, max_nodes=16)
-        sides = random_balanced_sides(graph, 7)
-        vector = NumpyGainEngine(
-            Partition(graph, list(sides)), [0.5] * graph.num_nodes
-        )
-        vector.all_gains()
-        vector.set_probability(1, 0.25)
-        vector.partition.move_and_lock(0)
-        vector.on_lock(0)
-        vector.all_gains()
-        assert vector._dirty_nodes == []
-        assert list(vector.product_cache_snapshot()) == []
 
 
 class TestResolution:

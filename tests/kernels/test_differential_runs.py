@@ -5,8 +5,7 @@ The kernels layer promises that switching ``kernel="python"`` for
 but the entire move sequence, the per-pass best prefixes, and every stat
 that isn't a timing.  These tests run the real partitioners twice and
 compare everything, over hypothesis-generated instances, the seeded grid,
-and the golden corpus (the latter under a full invariant audit, which
-also exercises the auditor's product-cache cross-check).
+and the golden corpus (the latter under a full invariant audit).
 """
 
 import pytest
@@ -70,24 +69,19 @@ def _run_cases(draw):
 
 
 @settings(max_examples=25, deadline=None)
-@given(_run_cases(), st.sampled_from(["recompute", "cached"]))
-def test_prop_backends_identical_hypothesis(case, strategy):
+@given(_run_cases())
+def test_prop_backends_identical_hypothesis(case):
     graph, sides = case
     balance = BalanceConstraint.fifty_fifty(graph)
-    _assert_prop_identical(
-        graph, sides, balance, update_strategy=strategy
-    )
+    _assert_prop_identical(graph, sides, balance)
 
 
 @pytest.mark.parametrize("seed", GRID_SEEDS[:6])
-@pytest.mark.parametrize("strategy", ["recompute", "cached"])
-def test_prop_backends_identical_grid(seed, strategy):
+def test_prop_backends_identical_grid(seed):
     graph = weighted_instance(seed, max_nodes=24)
     sides = random_balanced_sides(graph, seed)
     balance = BalanceConstraint.fifty_fifty(graph)
-    _assert_prop_identical(
-        graph, sides, balance, update_strategy=strategy
-    )
+    _assert_prop_identical(graph, sides, balance)
 
 
 @pytest.mark.parametrize("probability_function", ["linear", "sigmoid"])
@@ -98,13 +92,11 @@ def test_prop_backends_identical_config_matrix(
     graph = make_benchmark("t5", scale=0.08)
     sides = random_balanced_sides(graph, 3)
     balance = BalanceConstraint.fifty_fifty(graph)
-    for strategy in ("recompute", "cached"):
-        _assert_prop_identical(
-            graph, sides, balance,
-            update_strategy=strategy,
-            probability_function=probability_function,
-            init_method=init_method,
-        )
+    _assert_prop_identical(
+        graph, sides, balance,
+        probability_function=probability_function,
+        init_method=init_method,
+    )
 
 
 @pytest.mark.parametrize("container", ["bucket", "tree"])
@@ -141,9 +133,10 @@ def test_la_backends_identical(k):
 class TestGoldenCorpusBackends:
     """Both backends reproduce the corpus circuits' cuts — audited.
 
-    Auditing the numpy runs routes every (Nth) move through
-    ``check_prop_gains`` *and* ``check_prop_kernel``, so the cached side
-    products are recomputed against brute force mid-run.
+    Auditing routes every (Nth) move through ``check_prop_gains``,
+    ``check_prop_term_memo`` and ``check_prop_clean_keys``, so the
+    gains, the memoized terms and the keys the top-k refresh skips are
+    recomputed against brute force mid-run on both backends.
     """
 
     @pytest.mark.parametrize("circuit", sorted(CIRCUITS))
@@ -162,37 +155,6 @@ class TestGoldenCorpusBackends:
             assert r.stats["audit_checks"] > 0
             results[kernel] = (_moves(rec), r.cut, r.sides)
         assert results["python"] == results["numpy"]
-
-    @pytest.mark.parametrize("circuit", sorted(CIRCUITS))
-    def test_cached_strategy_identical_and_audited(self, circuit):
-        graph = build_circuit(CIRCUITS[circuit])
-        sides = random_balanced_sides(graph, 42)
-        balance = BalanceConstraint.fifty_fifty(graph)
-        config = dict(update_strategy="cached")
-        results = {}
-        for kernel in ("python", "numpy"):
-            r = run_prop(
-                graph, sides, balance,
-                PropConfig(kernel=kernel, **config),
-                audit=AuditConfig(every=5),
-            )
-            assert r.stats["audited"] == 1.0
-            results[kernel] = (r.cut, r.sides, r.pass_cuts)
-        assert results["python"] == results["numpy"]
-
-
-def test_numpy_stats_expose_kernel_telemetry():
-    graph = random_instance(17, max_nodes=30)
-    sides = random_balanced_sides(graph, 1)
-    balance = BalanceConstraint.fifty_fifty(graph)
-    r = run_prop(
-        graph, sides, balance,
-        PropConfig(kernel="numpy", update_strategy="cached"),
-    )
-    assert r.stats["kernel_numpy"] == 1.0
-    assert r.stats["csr_build_seconds"] >= 0.0
-    assert r.stats["product_cache_misses"] >= 0.0
-    assert "product_cache_hits" in r.stats
 
 
 def test_python_stats_omit_csr_fields():
