@@ -72,10 +72,12 @@ def collect_move_samples(
     config: Optional[PropConfig] = None,
     seed: int = 0,
 ) -> List[MoveSample]:
-    """Run PROP once, capturing every tentative move.
+    """Run PROP once, capturing every tentative move it makes.
 
     Uses the telemetry event stream (:class:`repro.telemetry.MemoryRecorder`);
-    recording never changes moves or cuts.
+    recording never changes moves or cuts.  A pass ends at the dead-cut
+    stop (:func:`repro.datastructures.pass_can_stop`), so the moves it
+    would have rolled back anyway are not among the samples.
     """
     if balance is None:
         balance = BalanceConstraint.fifty_fifty(graph)

@@ -11,7 +11,8 @@ the same moves as an unaudited one.
 Invariant families (see :class:`~repro.audit.config.AuditConfig`):
 
 * **structure** — per-net pin counts, locked-pin counts, side weights,
-  the tracked cut cost, and the running journal cut;
+  the tracked cut cost, the dead cut (nets locked on both sides), and
+  the running journal cut;
 * **gains** — FM container gains vs Eqn. (1), LA vectors vs the
   Krishnamurthy rules, PROP incremental gains vs Eqns. (2)–(6), PROP's
   clean keys vs a fresh recompute, and container membership (exactly the
@@ -19,7 +20,9 @@ Invariant families (see :class:`~repro.audit.config.AuditConfig`):
 * **probabilities** — PROP lock discipline (locked ⇒ p = 0) and range;
 * **balance** — a pass that starts inside the window stays inside it;
 * **rollback** — journal gains, the maximum-prefix-sum decision, and the
-  post-rollback state all match an independent replay.
+  post-rollback state all match an independent replay, and a pass that
+  ended while a move was still possible had its stop licensed by the
+  dead-cut rule.
 """
 
 from __future__ import annotations
@@ -162,6 +165,7 @@ class PassAuditor:
             raise self._violation(
                 "rollback-prefix", (ref_p, ref_gmax), (p, gmax)
             )
+        self._check_pass_stop(sides, nodes, ref_gmax)
 
         kept_sides, kept_cut, _ = reference.replay_moves(
             self.graph, self._pre_pass_sides, nodes[:ref_p]
@@ -184,6 +188,50 @@ class PassAuditor:
         if abs(kept_cut - partition.cut_cost) > tol:
             raise self._violation(
                 "rollback-cut", kept_cut, partition.cut_cost
+            )
+
+    def _check_pass_stop(
+        self, end_sides: List[int], nodes: Sequence[int], best_gain: float
+    ) -> None:
+        """A pass that ended while a move was still possible must have
+        ended by the dead-cut stop rule.
+
+        ``end_sides`` are the sides at pass end, before the rollback, and
+        ``nodes`` the moved (so locked) nodes.  A move is still possible
+        when some side has free nodes and balance lets every one of them
+        move: then the sequential picker and the sub-round batch sweep
+        would both have found one.  The license is recounted from
+        scratch: the cut at pass start, the dead cut at pass end and the
+        best prefix sum of the replayed gains."""
+        graph = self.graph
+        locked = [False] * graph.num_nodes
+        for v in nodes:
+            locked[v] = True
+        weights = reference.side_weights(graph, end_sides)
+        movable = False
+        for side in (0, 1):
+            free = [
+                v for v in range(graph.num_nodes)
+                if not locked[v] and end_sides[v] == side
+            ]
+            if free and (self.balance is None or all(
+                self.balance.move_allowed(weights, side, graph.node_weight(v))
+                for v in free
+            )):
+                movable = True
+        self.checks_run += 1
+        if not movable:
+            return
+        start_cut = reference.cut_cost(graph, self._pre_pass_sides)
+        dead = reference.dead_cut(graph, end_sides, locked)
+        best = best_gain if nodes else float("-inf")
+        if not reference.stop_licensed(graph, start_cut, dead, best):
+            raise self._violation(
+                "pass-stop",
+                f"a licensed stop: cut at start {start_cut} - dead cut "
+                f"{dead} <= best prefix gain {best}",
+                f"pass ended after {len(nodes)} moves",
+                detail="a pass ended while a move was still possible",
             )
 
     @_timed
@@ -284,6 +332,7 @@ class PassAuditor:
         sides = partition.sides
         locked = [partition.is_locked(v) for v in range(graph.num_nodes)]
         tol = self.config.tolerance
+        dead = 0.0
         for net_id in range(graph.num_nets):
             c0, c1 = reference.pin_counts(graph, sides, net_id)
             self.checks_run += 1
@@ -310,6 +359,17 @@ class PassAuditor:
                     node=node,
                     detail=f"net {net_id}",
                 )
+            if l0 and l1:
+                dead += graph.net_cost(net_id)
+        self.checks_run += 1
+        if abs(dead - partition.dead_cut) > tol:
+            raise self._violation(
+                "dead-cut",
+                dead,
+                partition.dead_cut,
+                node=node,
+                detail="cost of the nets with a locked pin on each side",
+            )
         ref_cut = reference.cut_cost(graph, sides)
         self.checks_run += 1
         if abs(ref_cut - partition.cut_cost) > tol:

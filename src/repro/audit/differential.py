@@ -8,6 +8,13 @@ done over plain lists — and asserts that the real engines produce
 **identical trajectories** (same moves in the same order, same per-move
 gains, same kept prefixes, same final cuts) over seeded generator grids.
 
+The reference passes are literal Fig.-2 passes: they move every movable
+node.  The engines end a pass early once the dead-cut stop rule
+(:func:`repro.datastructures.pass_can_stop`) holds, so the reference
+also records, per pass, the first move at which a from-scratch dead-cut
+recount licenses that stop, and :func:`compare_trajectories` accepts a
+pass that ends exactly there.
+
 Two engines that share tie-breaking rules must agree move for move:
 
 * ``run_fm(container="tree")``  vs  :func:`reference_fm_run`
@@ -43,13 +50,17 @@ class Trajectory:
     pass_cuts: List[float] = field(default_factory=list)
     final_sides: List[int] = field(default_factory=list)
     final_cut: float = 0.0
+    #: Per pass of a reference run, the number of moves after which the
+    #: stop rule first holds (None when it never does); empty otherwise.
+    stops: List[Optional[int]] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
 class Mismatch:
     """First point where two trajectories diverge."""
 
-    kind: str  # "move" | "kept" | "pass-cuts" | "sides" | "cut" | "length"
+    # "move" | "stop" | "length" | "kept" | "pass-cuts" | "sides" | "cut"
+    kind: str
     index: int
     left: object
     right: object
@@ -61,16 +72,41 @@ class Mismatch:
         )
 
 
+def _moves_by_pass(traj: Trajectory) -> List[List[TrajectoryMove]]:
+    passes = 1 + max((m[0] for m in traj.moves), default=-1)
+    grouped: List[List[TrajectoryMove]] = [
+        [] for _ in range(max(passes, len(traj.kept)))
+    ]
+    for m in traj.moves:
+        grouped[m[0]].append(m)
+    return grouped
+
+
 def compare_trajectories(
     a: Trajectory, b: Trajectory, tolerance: float = 1e-6
 ) -> Optional[Mismatch]:
-    """The first divergence between two trajectories, or ``None``."""
-    for i, (ma, mb) in enumerate(zip(a.moves, b.moves)):
-        if ma[:2] != mb[:2] or abs(ma[2] - mb[2]) > tolerance:
-            return Mismatch("move", i, ma, mb)
-    if len(a.moves) != len(b.moves):
-        return Mismatch("length", min(len(a.moves), len(b.moves)),
-                        len(a.moves), len(b.moves))
+    """The first divergence of trajectory ``a`` from ``b``, or ``None``.
+
+    Pass by pass, ``a``'s moves must be ``b``'s, except that a pass of
+    ``a`` may end early at exactly the move ``b.stops`` names for it:
+    the first move at which the dead-cut stop rule holds.  Everything
+    else must match in full: kept prefixes, pass cuts, sides and cut.
+    """
+    index = 0
+    passes_a, passes_b = _moves_by_pass(a), _moves_by_pass(b)
+    for k in range(max(len(passes_a), len(passes_b))):
+        pa = passes_a[k] if k < len(passes_a) else []
+        pb = passes_b[k] if k < len(passes_b) else []
+        for ma, mb in zip(pa, pb):
+            if ma[:2] != mb[:2] or abs(ma[2] - mb[2]) > tolerance:
+                return Mismatch("move", index, ma, mb)
+            index += 1
+        if len(pa) < len(pb):
+            stop = b.stops[k] if k < len(b.stops) else None
+            if len(pa) != stop:
+                return Mismatch("stop", index, len(pa), stop)
+        elif len(pa) > len(pb):
+            return Mismatch("length", index, len(pa), len(pb))
     if a.kept != b.kept:
         return Mismatch("kept", 0, a.kept, b.kept)
     for i, (ca, cb) in enumerate(zip(a.pass_cuts, b.pass_cuts)):
@@ -136,7 +172,9 @@ def _reference_run(
     free node (a float for FM, a vector for LA); its first element (or
     itself) is *not* assumed to be the immediate gain — realized gains
     come from :func:`reference.replay_moves` semantics, i.e. from-scratch
-    cut deltas.
+    cut deltas.  Every pass moves every movable node, as Fig. 2 does;
+    ``stops`` records after how many moves a from-scratch dead-cut
+    recount first licenses the engines' early end.
     """
     traj = Trajectory(algorithm=algorithm)
     sides = list(initial_sides)
@@ -147,7 +185,9 @@ def _reference_run(
         pass_nodes: List[int] = []
         pass_gains: List[float] = []
         state = list(sides)
-        cut = reference.cut_cost(graph, state)
+        cut = start_cut = reference.cut_cost(graph, state)
+        best = float("-inf")
+        stop: Optional[int] = None
         while True:
             node = _reference_pick(
                 graph, state, locked, weights, balance,
@@ -165,11 +205,18 @@ def _reference_run(
             pass_nodes.append(node)
             pass_gains.append(cut - new_cut)
             cut = new_cut
+            best = max(best, start_cut - cut)
+            if stop is None and reference.stop_licensed(
+                graph, start_cut, reference.dead_cut(graph, state, locked),
+                best,
+            ):
+                stop = len(pass_nodes)
         p, gmax = reference.best_prefix(pass_gains)
         passes += 1
         for i, node in enumerate(pass_nodes):
             traj.moves.append((passes - 1, node, pass_gains[i]))
         traj.kept.append(p)
+        traj.stops.append(stop)
         sides, kept_cut, _ = reference.replay_moves(
             graph, sides, pass_nodes[:p]
         )

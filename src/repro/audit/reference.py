@@ -182,7 +182,7 @@ def la_gain_vector(
 
 
 # ---------------------------------------------------------------------------
-# Rollback: prefix sums over a journal
+# Rollback: prefix sums over a journal, and the dead-cut stop rule
 # ---------------------------------------------------------------------------
 def best_prefix(gains: Sequence[float]) -> Tuple[int, float]:
     """``(p, Gmax)`` — smallest prefix achieving the maximum prefix sum.
@@ -207,6 +207,32 @@ def best_prefix(gains: Sequence[float]) -> Tuple[int, float]:
     if best_sum <= 0:
         return 0, best_sum
     return best_p, best_sum
+
+
+def dead_cut(
+    graph: Hypergraph, sides: Sequence[int], locked: Sequence[bool]
+) -> float:
+    """Total cost of the nets with a locked pin on each side."""
+    total = 0.0
+    for net_id in range(graph.num_nets):
+        l0, l1 = locked_pin_counts(graph, sides, locked, net_id)
+        if l0 and l1:
+            total += graph.net_cost(net_id)
+    return total
+
+
+def stop_licensed(
+    graph: Hypergraph, start_cut: float, dead: float, best_gain: float
+) -> bool:
+    """Whether a pass may end after a move: every net cost is an integer
+    and the costs total below 2**53 (so every sum is exact), and the cut
+    at pass start minus the dead cut now is at most ``best_gain``, the
+    largest prefix sum of the moves so far."""
+    costs = graph.net_costs
+    exact = (
+        all(float(c).is_integer() for c in costs) and sum(costs) < 2.0 ** 53
+    )
+    return exact and start_cut - dead <= best_gain
 
 
 def replay_moves(

@@ -1,5 +1,5 @@
 """Core data structures: gain containers (heap, AVL tree, FM buckets),
-addressable heap, pass journal."""
+addressable heap, pass journal and its dead-cut stop rule."""
 
 from .avl import AVLTree
 from .bucket_list import BucketList
@@ -10,7 +10,7 @@ from .gain_container import (
     TreeGainContainer,
 )
 from .heap import AddressablePriorityQueue
-from .prefix import MoveRecord, PassJournal
+from .prefix import MoveRecord, PassJournal, exact_cost_sums, pass_can_stop
 
 __all__ = [
     "AVLTree",
@@ -22,4 +22,6 @@ __all__ = [
     "BucketGainContainer",
     "PassJournal",
     "MoveRecord",
+    "exact_cost_sums",
+    "pass_can_stop",
 ]

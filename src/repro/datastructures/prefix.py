@@ -1,15 +1,61 @@
 """Pass journal: recorded moves, prefix gains, and rollback point.
 
 Every FM-family pass (FM, LA, PROP — paper Fig. 2, steps 7/9/10) tentatively
-moves *all* movable nodes, recording the immediate cut gain of each move;
+moves the movable nodes, recording the immediate cut gain of each move;
 afterwards only the prefix of moves achieving the maximum prefix-sum gain
-``Gmax`` is kept, the rest are rolled back.  This module holds that journal.
+``Gmax`` is kept, the rest are rolled back.  This module holds that journal,
+and the dead-cut stop rule (:func:`pass_can_stop`) that ends a pass as soon
+as no later prefix can beat the best one so far.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
+
+#: Every integer of magnitude at most 2**53 is an exact IEEE double.
+_EXACT_INTEGER_LIMIT = 2.0 ** 53
+
+
+def exact_cost_sums(costs: Sequence[float]) -> bool:
+    """True when every cost is an integer and the costs total below 2**53.
+
+    Net costs are finite and non-negative, so then every cut, every
+    immediate gain and every prefix sum of gains within a pass is an
+    integer of magnitude below 2**53, and every float operation on them
+    is exact.  :func:`pass_can_stop` is licensed only under this
+    condition."""
+    return (
+        all(float(c).is_integer() for c in costs)
+        and sum(costs) < _EXACT_INTEGER_LIMIT
+    )
+
+
+def pass_can_stop(
+    exact: bool, start_cut: float, dead_cut: float, best_gain: float
+) -> bool:
+    """The dead-cut stop rule: True once no later prefix of the pass can
+    beat the best prefix so far, so every further move would be rolled
+    back.
+
+    ``exact`` is :func:`exact_cost_sums` of the net costs; ``start_cut``
+    is the cut at pass start; ``dead_cut`` is the total cost of the nets
+    with a locked pin on each side now; ``best_gain`` is the largest
+    prefix sum of the moves made so far (``PassJournal.best_gain``).
+
+    Proof.  A dead net stays cut for the rest of the pass: locked pins
+    never move, so it keeps a pin on each side.  Locks are only added
+    within a pass, so the dead cut only grows, and every later prefix
+    ends with cut ``>= dead_cut``, that is with gain ``start_cut - cut
+    <= start_cut - dead_cut``.  Once that bound is ``<= best_gain``, no
+    later prefix sum exceeds ``best_gain``, and the incumbent is
+    replaced only by a strictly larger sum (:meth:`PassJournal.
+    best_prefix`; the n-level region pass's ``cum > best + 1e-12``).  So
+    the kept prefix, ``Gmax``, the rollback and the pass cut are those of
+    the full pass.  The float prefix sums equal the true cut changes only
+    when they are exact, hence ``exact``: with fractional costs a pass
+    runs to its end."""
+    return exact and start_cut - dead_cut <= best_gain
 
 
 @dataclass(frozen=True)
@@ -26,16 +72,28 @@ class MoveRecord:
 
 
 class PassJournal:
-    """Accumulates tentative moves and finds the best rollback prefix."""
+    """Accumulates tentative moves and finds the best rollback prefix.
 
-    __slots__ = ("_moves",)
+    The largest prefix sum and the shortest prefix reaching it are kept
+    up to date as moves are recorded, so the move loops can read
+    ``best_gain`` after every move (:func:`pass_can_stop`)."""
+
+    __slots__ = ("_moves", "_running", "_best_gain", "_best_p")
 
     def __init__(self) -> None:
         self._moves: List[MoveRecord] = []
+        self._running = 0.0
+        self._best_gain = float("-inf")
+        self._best_p = 0
 
     def record(self, node: int, from_side: int, immediate_gain: float) -> None:
         """Record one tentative move and its immediate cut gain."""
         self._moves.append(MoveRecord(node, from_side, immediate_gain))
+        running = self._running + immediate_gain
+        self._running = running
+        if running > self._best_gain:
+            self._best_gain = running
+            self._best_p = len(self._moves)
 
     @property
     def moves(self) -> Sequence[MoveRecord]:
@@ -43,6 +101,11 @@ class PassJournal:
 
     def __len__(self) -> int:
         return len(self._moves)
+
+    @property
+    def best_gain(self) -> float:
+        """The largest prefix sum so far (``-inf`` before any move)."""
+        return self._best_gain
 
     def prefix_sums(self) -> List[float]:
         """``S_k = sum of the first k immediate gains`` for k = 1..len."""
@@ -70,19 +133,11 @@ class PassJournal:
         integers.  Ties still resolve to the earliest prefix because equal
         sums do not replace the incumbent.
         """
-        best_p = 0
-        best_sum = float("-inf")
-        running = 0.0
-        for k, mv in enumerate(self._moves, start=1):
-            running += mv.immediate_gain
-            if running > best_sum:
-                best_sum = running
-                best_p = k
         if not self._moves:
             return 0, 0.0
-        if best_sum <= 0:
-            return 0, best_sum
-        return best_p, best_sum
+        if self._best_gain <= 0:
+            return 0, self._best_gain
+        return self._best_p, self._best_gain
 
     def kept_moves(self) -> List[MoveRecord]:
         """The moves inside the best prefix (the ones actually made)."""

@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from ..datastructures.prefix import exact_cost_sums
+
 
 class HypergraphError(ValueError):
     """Raised when a hypergraph is constructed from inconsistent data."""
@@ -62,6 +64,7 @@ class Hypergraph:
         "_num_pins",
         "_node_names",
         "_net_names",
+        "_exact_cut_sums",
     )
 
     def __init__(
@@ -127,6 +130,7 @@ class Hypergraph:
         )
         self._node_names = self._check_names(node_names, num_nodes, "node_names")
         self._net_names = self._check_names(net_names, len(self._nets), "net_names")
+        self._exact_cut_sums: Optional[bool] = None
 
     @staticmethod
     def _check_vector(
@@ -230,6 +234,16 @@ class Hypergraph:
     def net_cost(self, net_id: int) -> float:
         """Cost ``c(net_id)`` of one net."""
         return self._net_costs[net_id]
+
+    @property
+    def exact_cut_sums(self) -> bool:
+        """True when every net cost is an integer and the costs total
+        below 2**53, so every cut and every sum of cut changes is an exact
+        float (:func:`repro.datastructures.exact_cost_sums`; computed once
+        per netlist)."""
+        if self._exact_cut_sums is None:
+            self._exact_cut_sums = exact_cost_sums(self._net_costs)
+        return self._exact_cut_sums
 
     @property
     def has_unit_net_costs(self) -> bool:

@@ -11,9 +11,7 @@ into contiguous arrays once per run (``run_prop`` / ``run_fm`` /
   hypergraph's pin order), with ``pin_net[j]`` the owning net id;
 * **node-major** — one entry per (node, net) incidence in
   ``graph.node_nets`` order: ``nm_net[i]`` / ``nm_owner[i]`` with
-  ``node_offset[v] .. node_offset[v+1]`` the slice of node ``v``;
-* **cross-links** — ``netpin_to_nodepin[j]`` maps the net-major pin ``j``
-  to its node-major index.
+  ``node_offset[v] .. node_offset[v+1]`` the slice of node ``v``.
 
 Pin order is load-bearing: the kernels promise bit-identical results to
 the scalar loops, which accumulate per-net products in net-pin order and
@@ -52,10 +50,7 @@ class CsrView:
         "nm_flip",
         "nm_owner",
         "node_offset",
-        "netpin_to_nodepin",
-        "net_offset_list",
         "node_offset_list",
-        "netpin_to_nodepin_list",
         "build_seconds",
     )
 
@@ -92,19 +87,6 @@ class CsrView:
                 nm_owner[i] = v
                 i += 1
 
-        # Net-major pin j -> node-major index.  ``node_nets`` lists a
-        # node's nets in ascending net id (construction order), and the
-        # net-major sweep below visits nets in the same ascending order,
-        # so a per-node cursor lands each pin on its node-major slot.
-        cursor = node_offset[:-1].copy() if n else []
-        mapping = [0] * m
-        j = 0
-        for pins in nets:
-            for v in pins:
-                mapping[j] = cursor[v]
-                cursor[v] += 1
-                j += 1
-
         self.pin_node = np.asarray(pin_node, dtype=np.intp)
         self.pin_net = np.asarray(pin_net, dtype=np.intp)
         self.net_offset = np.asarray(net_offset, dtype=np.intp)
@@ -118,11 +100,8 @@ class CsrView:
         self.nm_flip = self.nm_net * 2 + e
         self.nm_owner = np.asarray(nm_owner, dtype=np.intp)
         self.node_offset = np.asarray(node_offset, dtype=np.intp)
-        self.netpin_to_nodepin = np.asarray(mapping, dtype=np.intp)
-        # Plain-list twins for the scalar move loop (element access on a
-        # Python list is ~3x cheaper than on an ndarray and returns plain
-        # ints, keeping numpy scalar types out of the hot path).
-        self.net_offset_list = net_offset
+        # Plain-list twin for the sub-round batch sweep's per-candidate
+        # slicing (element access on a Python list is ~3x cheaper than on
+        # an ndarray and returns plain ints).
         self.node_offset_list = node_offset
-        self.netpin_to_nodepin_list = mapping
         self.build_seconds = time.perf_counter() - t0

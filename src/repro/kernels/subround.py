@@ -59,7 +59,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..datastructures import PassJournal
+from ..datastructures import PassJournal, pass_can_stop
 from ..partition import BalanceConstraint, Partition
 from .csr import CsrView
 from .numpy_backend import (
@@ -340,10 +340,14 @@ class _SubroundEngineBase:
         (:meth:`repro.passes.GainPolicy.run_pass`): locks are left set,
         the journal records every tentative move with its realized
         immediate gain, phases are timed on ``self.clock``, and the
-        driver performs the best-prefix rollback.
+        driver performs the best-prefix rollback.  The pass ends when no
+        batch can be selected, or right after the first batch at whose
+        end :func:`~repro.datastructures.pass_can_stop` holds.
         """
         part = self.partition
         node_weights = part.graph.node_weights
+        exact = part.graph.exact_cut_sums
+        start_cut = part.cut_cost
         gains = self._start_pass()
         journal = PassJournal()
         with self.clock("move_loop"):
@@ -394,6 +398,10 @@ class _SubroundEngineBase:
                 if auditor is not None:
                     auditor.after_batch(part, batch, imm)
                     auditor.check_subround_batch(part, pre_sides, batch, imm)
+                if pass_can_stop(
+                    exact, start_cut, part.dead_cut, journal.best_gain
+                ):
+                    break
 
                 gains = self._next_gains(gains)
         return journal

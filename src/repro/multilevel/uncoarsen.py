@@ -22,7 +22,11 @@ import time
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core import PropPartitioner
-from ..datastructures import AddressablePriorityQueue
+from ..datastructures import (
+    AddressablePriorityQueue,
+    exact_cost_sums,
+    pass_can_stop,
+)
 from ..hypergraph import Hypergraph
 from ..partition import (
     BalanceConstraint,
@@ -91,6 +95,12 @@ class UncoarsenState:
         #: of each net a region or rebalance move made critical since
         #: the pin's key was last set (see :meth:`_rerate_neighbors`).
         self.marked: Set[int] = set()
+        #: Whether region passes may end early (:func:`pass_can_stop`),
+        #: and per net, the region pins on each side that a region pass
+        #: has not popped yet (all 0 between passes).
+        self.exact = exact_cost_sums(dyn.net_cost)
+        self.free0: List[int] = [0] * dyn.num_nets
+        self.free1: List[int] = [0] * dyn.num_nets
         self.uncontract_batches = 0
         self.region_moves = 0
         self.rebalance_moves = 0
@@ -214,12 +224,83 @@ class UncoarsenState:
                     region.update(dict.fromkeys(net_pins))
         return region
 
+    def _region_cuts(self, region: Dict[int, None]) -> Tuple[
+        List[int], float, float
+    ]:
+        """Set up the dead-cut stop rule for a region pass.
+
+        A region pass moves only region pins, each at most once, so a
+        pin outside the region and a pin the pass has popped count as
+        locked.  Counts each region net's region pins per side into
+        ``free0``/``free1`` and returns ``(region nets, cut of the
+        region nets, dead cut of the region nets)``: a net is dead when
+        it has a pin outside the region on each side.  Nets without a
+        region pin cannot change, so they add the same to both cuts and
+        are left out of both."""
+        sides = self.sides
+        nets_of = self.dyn.nets_of
+        free0, free1 = self.free0, self.free1
+        region_nets: List[int] = []
+        for x in region:
+            free = free0 if sides[x] == 0 else free1
+            for net in nets_of[x]:
+                if not (free0[net] or free1[net]):
+                    region_nets.append(net)
+                free[net] += 1
+        c0, c1 = self.c0, self.c1
+        net_cost = self.dyn.net_cost
+        cut = dead = 0.0
+        for net in region_nets:
+            if c0[net] and c1[net]:
+                cut += net_cost[net]
+                if c0[net] > free0[net] and c1[net] > free1[net]:
+                    dead += net_cost[net]
+        return region_nets, cut, dead
+
+    def _lock_popped(self, x: int, moved: bool, dead: float) -> float:
+        """Count the popped pin ``x`` as locked on its side now; returns
+        ``dead`` plus the cost of every net this makes dead."""
+        free0, free1 = self.free0, self.free1
+        if self.sides[x] == 0:
+            mine, other, fmine, fother = self.c0, self.c1, free0, free1
+        else:
+            mine, other, fmine, fother = self.c1, self.c0, free1, free0
+        was = fother if moved else fmine
+        net_cost = self.dyn.net_cost
+        for net in self.dyn.nets_of[x]:
+            was[net] -= 1
+            if mine[net] - fmine[net] == 1 and other[net] > fother[net]:
+                dead += net_cost[net]
+        return dead
+
     def _refine_region(self, region: Dict[int, None]) -> int:
         """One best-gain FM pass restricted to ``region``, with
         best-prefix rollback.  Balance bounds are slackened by the
-        heaviest region node so coarse super-nodes stay movable."""
+        heaviest region node so coarse super-nodes stay movable.
+
+        With exact cost sums the dead-cut stop rule (:func:`pass_can_stop`,
+        with :meth:`_region_cuts`' locks) ends the pass right after the
+        first move at which it holds.  The region's incumbent is the empty
+        prefix's 0 before any move, so a region whose nets leave no cut to
+        remove is not searched at all."""
         if len(region) < 2:
             return 0
+        if not self.exact:
+            return self._region_pass(region, False, 0.0, 0.0)
+        region_nets, start_cut, dead = self._region_cuts(region)
+        kept = 0
+        if not pass_can_stop(True, start_cut, dead, 0.0):
+            kept = self._region_pass(region, True, start_cut, dead)
+        free0, free1 = self.free0, self.free1
+        for net in region_nets:
+            free0[net] = free1[net] = 0
+        return kept
+
+    def _region_pass(
+        self, region: Dict[int, None], exact: bool, start_cut: float,
+        dead: float,
+    ) -> int:
+        """The pass of :meth:`_refine_region`; returns the kept moves."""
         dyn = self.dyn
         max_w = max(dyn.node_weight[x] for x in region)
         bounds = self.balance.slackened(max_w)
@@ -239,18 +320,24 @@ class UncoarsenState:
             if not bounds.move_allowed(
                 self.side_weights, self.sides[x], dyn.node_weight[x]
             ):
-                continue  # locked out this pass (balance reject)
+                # Locked out this pass (balance reject).
+                if exact:
+                    dead = self._lock_popped(x, False, dead)
+                continue
             cum += self._apply_move(x)
             moves.append(x)
             if cum > best + 1e-12:
                 best = cum
                 best_k = len(moves)
             self._rerate_neighbors(pq, x)
+            if exact:
+                dead = self._lock_popped(x, True, dead)
+                if pass_can_stop(exact, start_cut, dead, best):
+                    break
         for x in reversed(moves[best_k:]):
             self._apply_move(x)
-        kept = best_k
-        self.region_moves += kept
-        return kept
+        self.region_moves += best_k
+        return best_k
 
     def rebalance(self, bounds: Optional[BalanceConstraint] = None) -> int:
         """Greedy repair when the partition violates ``bounds`` (the true

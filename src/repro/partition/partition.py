@@ -8,7 +8,9 @@ keeps the cutset cost up to date in O(pins of moved node) per move.
 It also tracks per-node *locks* and per-net per-side *locked pin counts*,
 because PROP's probabilistic gains (paper Sec. 3.4) and Krishnamurthy's
 lookahead vectors both need to know whether a net is "locked in" a side
-(has a locked pin there).
+(has a locked pin there), and the pass's *dead cut*: the total cost of
+the nets locked in both sides, which stay cut until the locks are
+released (the pass stop rule, :func:`repro.datastructures.pass_can_stop`).
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ class Partition:
         "_locked1",
         "_side_weights",
         "_cut_cost",
+        "_dead_cut",
         "_num_locked",
     )
 
@@ -58,6 +61,7 @@ class Partition:
         self._locked0: List[int] = [0] * graph.num_nets
         self._locked1: List[int] = [0] * graph.num_nets
         self._side_weights: List[float] = [0.0, 0.0]
+        self._dead_cut = 0.0
         self._num_locked = 0
 
         for v in range(graph.num_nodes):
@@ -117,6 +121,13 @@ class Partition:
         ]
 
     @property
+    def dead_cut(self) -> float:
+        """Total cost of the nets with a locked pin on each side.  Such a
+        net stays cut while the locks hold, so within a pass this only
+        grows; :meth:`unlock_all` resets it to 0."""
+        return self._dead_cut
+
+    @property
     def side_weights(self) -> Tuple[float, float]:
         """Total node weight on (side 0, side 1)."""
         return (self._side_weights[0], self._side_weights[1])
@@ -172,15 +183,25 @@ class Partition:
             raise ValueError(f"node {node} already locked")
         self._locked[node] = True
         self._num_locked += 1
-        counts = self._locked0 if self._side[node] == 0 else self._locked1
+        if self._side[node] == 0:
+            counts, others = self._locked0, self._locked1
+        else:
+            counts, others = self._locked1, self._locked0
+        costs = self.graph.net_costs
+        dead = self._dead_cut
         for net_id in self.graph.node_nets(node):
-            counts[net_id] += 1
+            c = counts[net_id]
+            counts[net_id] = c + 1
+            if not c and others[net_id]:
+                dead += costs[net_id]
+        self._dead_cut = dead
 
     def unlock_all(self) -> None:
         """Release every lock (between passes)."""
         self._locked = [False] * self.graph.num_nodes
         self._locked0 = [0] * self.graph.num_nets
         self._locked1 = [0] * self.graph.num_nets
+        self._dead_cut = 0.0
         self._num_locked = 0
 
     # ------------------------------------------------------------------
@@ -253,14 +274,15 @@ class Partition:
         :mod:`repro.kernels.subround`).  The cut is updated per move by
         the caller-supplied gain (same subtraction order a sequential
         replay performs, keeping the float trajectory identical), while
-        pin counts, locked counts, weights and locks are maintained
-        incrementally exactly as :meth:`move_and_lock` would.
+        pin counts, locked counts, the dead cut, weights and locks are
+        maintained incrementally exactly as :meth:`move_and_lock` would.
         """
         if len(nodes) != len(gains):
             raise ValueError(
                 f"batch has {len(nodes)} nodes but {len(gains)} gains"
             )
         graph = self.graph
+        costs = graph.net_costs
         for i, node in enumerate(nodes):
             if self._locked[node]:
                 raise ValueError(f"cannot move locked node {node}")
@@ -268,10 +290,14 @@ class Partition:
             mine = self._counts0 if s == 0 else self._counts1
             theirs = self._counts1 if s == 0 else self._counts0
             locked_to = self._locked1 if s == 0 else self._locked0
+            locked_from = self._locked0 if s == 0 else self._locked1
             for net_id in graph.node_nets(node):
                 mine[net_id] -= 1
                 theirs[net_id] += 1
-                locked_to[net_id] += 1
+                c = locked_to[net_id]
+                locked_to[net_id] = c + 1
+                if not c and locked_from[net_id]:
+                    self._dead_cut += costs[net_id]
             self._side[node] = 1 - s
             self._locked[node] = True
             self._num_locked += 1
@@ -312,6 +338,12 @@ class Partition:
             if c0 and c1:
                 cut += graph.net_cost(net_id)
         assert abs(cut - self._cut_cost) < 1e-6, "cut cost stale"
+        dead = sum(
+            graph.net_cost(net_id)
+            for net_id in range(graph.num_nets)
+            if self._locked0[net_id] and self._locked1[net_id]
+        )
+        assert abs(dead - self._dead_cut) < 1e-6, "dead cut stale"
         w0 = sum(
             graph.node_weight(v)
             for v in range(graph.num_nodes)

@@ -4,7 +4,10 @@ Every iterative-improvement engine in this package runs the same pass:
 take the best-gain free node whose move keeps balance, move and lock
 it, update gains, journal the realized cut gain; then keep the
 maximum-prefix-gain prefix, roll back the rest, and repeat until a pass
-yields ``Gmax <= min_pass_gain``.  The engines differ only in how they
+yields ``Gmax <= min_pass_gain``.  A pass ends early, right after the
+first move at which the nets locked on both sides rule out a better
+prefix (:func:`repro.datastructures.pass_can_stop`); the moves it skips
+would all have been rolled back.  The engines differ only in how they
 compute and update gains, so this module holds everything else:
 
 * :func:`run_passes` — the run driver: auditor and recorder set-up, the
@@ -33,7 +36,7 @@ import time
 from typing import Iterable, Optional, Tuple
 
 from .audit import AuditConfig, PassAuditor, resolve_audit
-from .datastructures import HeapGainContainer, PassJournal
+from .datastructures import HeapGainContainer, PassJournal, pass_can_stop
 from .partition import BalanceConstraint, BipartitionResult, Partition
 from .telemetry import PassCounters, PhaseClock, Recorder, resolve_recorder
 
@@ -122,6 +125,8 @@ class GainPolicy:
     ) -> PassJournal:
         """One tentative-move pass; locks are left set.
 
+        The pass ends when no node can move, or right after the first
+        move at which :func:`~repro.datastructures.pass_can_stop` holds.
         ``rec`` is already resolved (enabled or ``None``).
         """
         partition = self.partition
@@ -131,6 +136,8 @@ class GainPolicy:
             for v, key in enumerate(self.initial_keys()):
                 containers[partition.side(v)].insert(v, key)
 
+        exact = partition.graph.exact_cut_sums
+        start_cut = partition.cut_cost
         journal = PassJournal()
         with clock("move_loop"):
             while True:
@@ -153,6 +160,10 @@ class GainPolicy:
                     partition, node, immediate
                 ):
                     self.audit(auditor, containers)
+                if pass_can_stop(
+                    exact, start_cut, partition.dead_cut, journal.best_gain
+                ):
+                    break
         return journal
 
 

@@ -221,6 +221,49 @@ def test_corrupted_cut_bookkeeping_is_caught(monkeypatch, graph):
     )
 
 
+def test_lock_skipping_the_dead_cut_update_is_caught(monkeypatch, graph):
+    """A lock that forgets to add the nets it kills to the dead cut
+    leaves the stop rule a bound too weak; the structure check's dead-cut
+    recount must catch it."""
+    original = Partition.lock
+
+    def forgetful(self, node):
+        dead = self.dead_cut
+        original(self, node)
+        self._dead_cut = dead
+
+    monkeypatch.setattr(Partition, "lock", forgetful)
+    _expect_violation(FMPartitioner("tree"), graph, "dead-cut")
+
+
+def test_pass_stopping_one_move_early_is_caught(monkeypatch, graph):
+    """A move loop that ends a pass one move before the dead-cut rule
+    licenses it must fail the pass-stop check.  A first, unbroken run
+    finds the first licensed stop; the broken run stops one call of the
+    rule earlier, in the same pass."""
+    import repro.passes as passes
+
+    real = passes.pass_can_stop
+    verdicts = []
+
+    def spy(*args):
+        verdicts.append(real(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(passes, "pass_can_stop", spy)
+    FMPartitioner("tree").partition(graph, seed=9)
+    first = verdicts.index(True)
+    assert first > 0
+    calls = []
+
+    def early(*args):
+        calls.append(None)
+        return len(calls) == first or real(*args)
+
+    monkeypatch.setattr(passes, "pass_can_stop", early)
+    _expect_violation(FMPartitioner("tree"), graph, "pass-stop")
+
+
 def test_broken_best_prefix_is_caught(monkeypatch, graph):
     """Rolling back to the wrong prefix must fail the rollback check.
 

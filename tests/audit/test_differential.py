@@ -3,8 +3,9 @@
 The reference runs in :mod:`repro.audit.differential` recompute every
 gain before every move and replay rollbacks over plain lists.  An
 incremental engine that shares the tie-breaking rules must match them
-move for move; the seeded grids here make any divergence reproducible
-from ``(seed, max_nodes)`` alone.
+move for move, up to where the dead-cut stop rule ends its pass; the
+seeded grids here make any divergence reproducible from
+``(seed, max_nodes)`` alone.
 """
 
 import pytest
@@ -117,3 +118,31 @@ class TestCompareTrajectories:
     def test_cut_drift_is_flagged_last(self):
         m = compare_trajectories(self._traj(), self._traj(final_cut=2.0))
         assert m is not None and m.kind == "cut"
+
+    def _reference(self, stop):
+        """A two-pass reference whose first pass the stop rule first
+        licenses after ``stop`` of its three moves."""
+        return self._traj(
+            moves=[(0, 4, 1.0), (0, 2, -1.0), (0, 3, -1.0), (1, 0, 0.0)],
+            kept=[1, 0],
+            stops=[stop, None],
+        )
+
+    def test_pass_ending_at_the_licensed_stop_is_clean(self):
+        stopped = self._traj(moves=[(0, 4, 1.0), (0, 2, -1.0), (1, 0, 0.0)],
+                             kept=[1, 0])
+        assert compare_trajectories(stopped, self._reference(2)) is None
+
+    def test_pass_ending_before_or_after_the_licensed_stop_is_flagged(self):
+        early = self._traj(moves=[(0, 4, 1.0), (1, 0, 0.0)], kept=[1, 0])
+        m = compare_trajectories(early, self._reference(2))
+        assert m is not None and m.kind == "stop" and m.index == 1
+        late = self._traj(moves=[(0, 4, 1.0), (0, 2, -1.0), (1, 0, 0.0)],
+                          kept=[1, 0])
+        m = compare_trajectories(late, self._reference(1))
+        assert m is not None and m.kind == "stop" and m.index == 2
+
+    def test_unlicensed_early_end_is_flagged(self):
+        early = self._traj(moves=[(0, 4, 1.0), (1, 0, 0.0)], kept=[1, 0])
+        m = compare_trajectories(early, self._reference(None))
+        assert m is not None and m.kind == "stop"

@@ -50,7 +50,7 @@ CASES = {
         ),
         ("tentative_moves", "kernel_numpy", "underflow_recomputes")
         + _PROP_PHASES,
-        "c9531c1d28626d02",
+        "e6ffd59185c9dca5",
     ),
     "prop-numpy": (
         lambda g, s, b, r: run_prop(
@@ -59,7 +59,7 @@ CASES = {
         ),
         ("tentative_moves", "kernel_numpy", "underflow_recomputes")
         + _PROP_PHASES + _CSR,
-        "89b2633c12a0eac2",
+        "87ea8b723a52378e",
     ),
     "fm-bucket-python": (
         lambda g, s, b, r: run_fm(
@@ -67,7 +67,7 @@ CASES = {
             recorder=r,
         ),
         ("tentative_moves", "kernel_numpy") + _PHASES,
-        "ba648e41d9d487ce",
+        "a85f6bbc2be16c72",
     ),
     "fm-bucket-numpy": (
         lambda g, s, b, r: run_fm(
@@ -75,7 +75,7 @@ CASES = {
             recorder=r,
         ),
         ("tentative_moves", "kernel_numpy") + _PHASES + _CSR,
-        "ca23359c5db558dc",
+        "15641e4f59135e88",
     ),
     "fm-tree-python": (
         lambda g, s, b, r: run_fm(
@@ -83,7 +83,7 @@ CASES = {
             recorder=r,
         ),
         ("tentative_moves", "kernel_numpy") + _PHASES,
-        "cd5d1bddcd8bff7a",
+        "f03e7880b8e55cbb",
     ),
     "fm-tree-numpy": (
         lambda g, s, b, r: run_fm(
@@ -91,21 +91,21 @@ CASES = {
             recorder=r,
         ),
         ("tentative_moves", "kernel_numpy") + _PHASES + _CSR,
-        "7484960c16e59e9a",
+        "071c19257b215800",
     ),
     "la-2-python": (
         lambda g, s, b, r: run_la(
             g, s, b, k=2, kernel="python", seed=CORPUS_SEED, recorder=r,
         ),
         ("tentative_moves", "kernel_numpy") + _PHASES,
-        "da16f4b6e8c074d6",
+        "b918d2b268ec8275",
     ),
     "la-2-numpy": (
         lambda g, s, b, r: run_la(
             g, s, b, k=2, kernel="numpy", seed=CORPUS_SEED, recorder=r,
         ),
         ("tentative_moves", "kernel_numpy") + _PHASES + _CSR,
-        "d5d7bb4db7e44e71",
+        "c99f294dc2fef2d8",
     ),
     "prop-subround-2": (
         lambda g, s, b, r: run_prop(
@@ -114,7 +114,7 @@ CASES = {
         ),
         ("tentative_moves", "kernel_numpy", "underflow_recomputes")
         + _PROP_PHASES + _SUBROUND,
-        "e49254925cedebda",
+        "920b5a798f02a489",
     ),
     "fm-subround-2": (
         lambda g, s, b, r: run_fm(
@@ -122,7 +122,7 @@ CASES = {
             seed=CORPUS_SEED, recorder=r,
         ),
         ("tentative_moves", "kernel_numpy") + _PHASES + _SUBROUND,
-        "0c27ebf143baf148",
+        "ceb5a09964544fac",
     ),
 }
 

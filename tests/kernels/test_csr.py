@@ -50,26 +50,11 @@ def test_node_major_order_matches_graph(graph):
         assert all(int(o) == v for o in csr.nm_owner[lo:hi])
 
 
-def test_netpin_nodepin_mapping_is_a_bijection(graph):
-    """Every net-major pin maps to the node-major slot of the same pin."""
-    csr = CsrView(graph)
-    seen = set()
-    for j in range(graph.num_pins):
-        i = int(csr.netpin_to_nodepin[j])
-        assert i not in seen
-        seen.add(i)
-        # Same (node, net) pin on both sides of the mapping.
-        assert int(csr.pin_node[j]) == int(csr.nm_owner[i])
-        assert int(csr.pin_net[j]) == int(csr.nm_net[i])
-    assert len(seen) == graph.num_pins
-
-
 def test_list_twins_match_arrays(graph):
-    """The plain-list copies used by the scalar move loop stay in sync."""
+    """The plain-list copy used by the sub-round batch sweep stays in
+    sync."""
     csr = CsrView(graph)
-    assert csr.net_offset_list == csr.net_offset.tolist()
     assert csr.node_offset_list == csr.node_offset.tolist()
-    assert csr.netpin_to_nodepin_list == csr.netpin_to_nodepin.tolist()
 
 
 def test_build_seconds_recorded():
