@@ -65,6 +65,9 @@ class Hypergraph:
         "_node_names",
         "_net_names",
         "_exact_cut_sums",
+        # Lets the n-level hierarchy memo key entries that die with the
+        # netlist (repro.multilevel.nlevel.HierarchyMemo); pickling skips it.
+        "__weakref__",
     )
 
     def __init__(

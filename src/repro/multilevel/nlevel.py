@@ -17,7 +17,10 @@ Schlag et al. (*n-Level Hypergraph Partitioning*, see PAPERS.md):
 * :class:`CoarseningJournal` — the contraction sequence serialized
   through the sha256-sealed JSONL machinery of
   :mod:`repro.engine.journal`, so a partially coarsened million-node
-  instance resumes with zero rating recomputation for journaled pairs.
+  instance resumes with zero rating recomputation for journaled pairs;
+* :class:`HierarchyMemo` — the contraction sequence kept in memory per
+  netlist object, so every later coarsening of that netlist in the same
+  process is a replay (:data:`HIERARCHIES` serves the n-level engine).
 
 Determinism contract (docs/multilevel.md): coarsening is a pure function
 of ``(graph, target_nodes, rating, max_net_size, max_cluster_weight,
@@ -31,14 +34,19 @@ current dynamic graph, never on update history.
 That is what makes a journal-resumed coarsening bit-identical to an
 uninterrupted one: replay reapplies the journaled pairs mechanically,
 the queue is rebuilt from the resulting state, and the continuation
-makes exactly the moves the original run would have made.
+makes exactly the moves the original run would have made.  A memo hit
+is the same replay of a complete sequence, with no queue at all.
 """
 
 from __future__ import annotations
 
 import hashlib
+import threading
+import weakref
+from array import array
+from functools import partial
 from pathlib import Path
-from typing import Collection, Dict, List, Optional, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Tuple
 
 from ..datastructures import AddressablePriorityQueue
 from ..engine.journal import SealedAppender, iter_journal_records
@@ -330,6 +338,110 @@ class CoarseningJournal:
         """Flush the tail batch and release the file handle."""
         self.flush()
         self._log.close()
+
+
+def replay_contractions(
+    dyn: DynamicHypergraph,
+    pairs: Iterable[Tuple[int, int]],
+    target_nodes: int,
+) -> List[Memento]:
+    """Contract ``pairs`` into ``dyn`` in order, with no rating work.
+
+    The one replay of a recorded contraction sequence, for journal
+    resume and memo hits alike: the same ``contract`` calls in the same
+    order rebuild the same mementos and dict orders.  It stops at the
+    target, and at the first pair that does not fit the graph (a
+    journal that diverged from it; replaying past it is not trusted).
+    """
+    mementos: List[Memento] = []
+    n = dyn.num_nodes
+    alive = dyn.alive
+    for u, v in pairs:
+        if dyn.alive_count <= target_nodes:
+            break
+        if (
+            u == v
+            or not 0 <= u < n
+            or not 0 <= v < n
+            or not alive[u]
+            or not alive[v]
+        ):
+            break
+        mementos.append(dyn.contract(u, v))
+    return mementos
+
+
+class HierarchyMemo:
+    """Contraction sequences kept per netlist object, in this process.
+
+    Coarsening is a pure function of the netlist and the knobs that
+    :func:`coarsening_fingerprint` binds, so a sequence recorded once
+    serves every later coarsening of the same ``Hypergraph`` object with
+    the same knobs: :func:`nlevel_coarsen` replays it instead of rating.
+    Entries are keyed by object identity, not content — a content key
+    would hash every pin per lookup — and each holds a weak reference to
+    its netlist, whose death drops the entry.  So nothing rides along
+    when the netlist is pickled: an unpickled copy (a pool worker's) is
+    another object and coarsens cold.  Each knob set
+    costs one flat ``array('l')`` of ``u, v`` pairs, 16 bytes a
+    contraction on 64-bit Linux.
+
+    Thread-safe: the service's job threads bisect one job's netlist
+    concurrently (two first calls both coarsen, and both store the same
+    pairs).  The lock is re-entrant because a netlist can die, and its
+    weak-reference callback run, inside a locked section whose
+    allocation started a garbage collection.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.RLock()
+        #: id(graph) -> (weak reference to graph, {knobs: flat pairs})
+        self._entries: Dict[
+            int, Tuple[weakref.ref, Dict[tuple, array]]
+        ] = {}
+
+    def get(self, graph: Hypergraph, knobs: tuple) -> Optional[array]:
+        """The flat ``u, v`` pairs recorded for ``graph`` under
+        ``knobs``, or None."""
+        with self._lock:
+            entry = self._entries.get(id(graph))
+            if entry is None or entry[0]() is not graph:
+                return None
+            return entry[1].get(knobs)
+
+    def put(
+        self, graph: Hypergraph, knobs: tuple, mementos: List[Memento]
+    ) -> None:
+        """Record the contraction sequence of ``mementos`` for
+        ``graph`` under ``knobs``."""
+        pairs = array("l")
+        for m in mementos:
+            pairs.append(m.u)
+            pairs.append(m.v)
+        key = id(graph)
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None or entry[0]() is not graph:
+                entry = (weakref.ref(graph, partial(self._forget, key)), {})
+                self._entries[key] = entry
+            entry[1][knobs] = pairs
+
+    def _forget(self, key: int, ref: weakref.ref) -> None:
+        """Weak-reference callback of a dead netlist: drop its entry,
+        unless a new netlist with the same id owns the key by now."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None and entry[0] is ref:
+                del self._entries[key]
+
+    def __len__(self) -> int:
+        """Netlists with at least one recorded sequence."""
+        with self._lock:
+            return len(self._entries)
+
+
+#: The process-wide memo that ``NLevelPartitioner`` coarsens through.
+HIERARCHIES = HierarchyMemo()
 
 
 class NLevelCoarsener:
@@ -703,12 +815,20 @@ def nlevel_coarsen(
     sample_pins: int = DEFAULT_SAMPLE_PINS,
     journal_path=None,
     journal_batch: int = DEFAULT_JOURNAL_BATCH,
+    memo: Optional[HierarchyMemo] = None,
 ) -> Tuple[DynamicHypergraph, List[Memento], Dict[str, float]]:
     """Coarsen ``graph`` to about ``target_nodes`` alive nodes.
 
     When ``journal_path`` is given, a matching journal's pairs are
     replayed mechanically (no rating work) before the priority queue
     takes over, and every new contraction is appended to it.
+
+    Otherwise ``memo`` (a :class:`HierarchyMemo`), when given, records
+    the sequence of this netlist object's first coarsening under these
+    knobs and replays it on every later one, queue construction
+    included: the stats then read like a complete journal replay
+    (``journal_replayed`` = the pairs, no contractions, ratings or
+    rescues).  A journal governs alone; the memo stands aside.
 
     Returns ``(dyn, mementos, stats)``; ``mementos`` is the full
     hierarchy (replayed + fresh) in contraction order.
@@ -722,32 +842,33 @@ def nlevel_coarsen(
             4.0 * graph.total_node_weight / max(target_nodes, 1)
         )
     dyn = DynamicHypergraph(graph)
+    knobs = (target_nodes, rating, max_net_size, max_cluster_weight,
+             sample_pins)
+    if journal_path is not None:
+        memo = None  # the journal governs
+    elif memo is not None:
+        pairs = memo.get(graph, knobs)
+        if pairs is not None:
+            it = iter(pairs)
+            hierarchy = replay_contractions(dyn, zip(it, it), target_nodes)
+            return dyn, hierarchy, {
+                "contractions": 0.0,
+                "ratings_updated": 0.0,
+                "rescued_nodes": 0.0,
+                "journal_replayed": float(len(hierarchy)),
+            }
     mementos: List[Memento] = []
     journal: Optional[CoarseningJournal] = None
-    replayed = 0
     if journal_path is not None:
-        fingerprint = coarsening_fingerprint(
-            graph, target_nodes, rating, max_net_size,
-            max_cluster_weight, sample_pins,
-        )
+        fingerprint = coarsening_fingerprint(graph, *knobs)
         journal = CoarseningJournal(
             journal_path, fingerprint, batch_pairs=journal_batch
         )
-        n = dyn.num_nodes
-        for u, v in journal.replay_pairs():
-            if dyn.alive_count <= target_nodes:
-                break
-            if (
-                u == v
-                or not 0 <= u < n
-                or not 0 <= v < n
-                or not dyn.alive[u]
-                or not dyn.alive[v]
-            ):
-                break  # journal diverged from this graph; stop trusting it
-            mementos.append(dyn.contract(u, v))
-            replayed += 1
+        mementos = replay_contractions(
+            dyn, journal.replay_pairs(), target_nodes
+        )
         journal.ensure_header()
+    replayed = len(mementos)
     coarsener = NLevelCoarsener(
         dyn,
         target_nodes=target_nodes,
@@ -761,6 +882,8 @@ def nlevel_coarsen(
     coarsener.coarsen()
     if journal is not None:
         journal.close()
+    if memo is not None:
+        memo.put(graph, knobs, mementos)
     stats: Dict[str, float] = {
         "contractions": float(coarsener.contractions),
         "ratings_updated": float(coarsener.ratings_updated),

@@ -38,6 +38,7 @@ from ..telemetry import PhaseClock, Recorder, resolve_recorder
 from .coarsen import DEFAULT_MAX_NET_SIZE
 from .nlevel import (
     DEFAULT_SAMPLE_PINS,
+    HIERARCHIES,
     DynamicHypergraph,
     Memento,
     nlevel_coarsen,
@@ -404,6 +405,14 @@ class NLevelPartitioner:
     (a path) enables resumable coarsening through a sealed JSONL journal;
     ``final_refine=False`` skips the finest-level full-graph refinement
     (bench instrumentation only).
+
+    The hierarchy depends on the netlist and the coarsening knobs, never
+    on the seed, so only a netlist object's first bisection coarsens:
+    every later one in the same process, from this partitioner or
+    another with the same knobs, replays the contraction sequence kept
+    in :data:`~repro.multilevel.nlevel.HIERARCHIES`, with identical
+    results and stats that read like a complete journal replay.  With
+    ``coarsen_journal`` set the journal governs instead.
     """
 
     name = "NLEVEL"
@@ -545,6 +554,7 @@ class NLevelPartitioner:
                 max_net_size=self.max_net_size,
                 sample_pins=self.sample_pins,
                 journal_path=self.coarsen_journal,
+                memo=HIERARCHIES,
                 **journal_kwargs,
             )
         clock.flush(-1)

@@ -1,6 +1,6 @@
 """n-level coarsening engine: round-trips, determinism, journal resume.
 
-Five contracts from docs/multilevel.md are fenced here:
+Six contracts from docs/multilevel.md are fenced here:
 
 1. **Exact round-trip** — undoing the memento stack restores the
    original hypergraph exactly: pin sets, incidence sets, bit-exact
@@ -20,10 +20,19 @@ Five contracts from docs/multilevel.md are fenced here:
    is keyed by its from-scratch Eqn.-1 gain, although its gain is
    re-summed at most once, and only while a move has marked it: a pin
    that shares only nets the move leaves non-critical keeps its key.
+6. **Warm equals cold** — a later bisection of the same netlist object
+   replays its memoized hierarchy and matches the first bisection of a
+   pickled copy bit for bit; the memo entry dies with the netlist, is
+   never pickled with it, and is safe under concurrent bisections.
 """
 
+import gc
 import json
 import math
+import pickle
+import sys
+import threading
+import weakref
 from collections import Counter
 
 import pytest
@@ -501,6 +510,211 @@ def test_property_coarsening_is_deterministic(graph):
     a = nlevel_coarsen(graph, target_nodes=2)
     b = nlevel_coarsen(graph, target_nodes=2)
     assert _pairs(a[1]) == _pairs(b[1])
+
+
+# ---------------------------------------------------------------------------
+# The hierarchy memo: a warm bisection is a cold one
+# ---------------------------------------------------------------------------
+def _cold_copy(graph):
+    """Another netlist object with ``graph``'s content: no memo entry."""
+    return pickle.loads(pickle.dumps(graph))
+
+
+def _assert_warm_equals_cold(warm, cold):
+    """``warm`` (a memo hit) matches ``cold`` (the first bisection of a
+    copy) in everything but timing, and its coarsening counters read
+    like a complete journal replay."""
+    assert cold.stats["journal_replayed"] == 0.0
+    assert warm.sides == cold.sides
+    assert warm.cut == cold.cut
+    assert warm.passes == cold.passes
+    assert warm.pass_cuts == cold.pass_cuts
+    expected = {
+        k: v for k, v in cold.stats.items() if not k.endswith("_seconds")
+    }
+    expected.update(
+        contractions=0.0,
+        ratings_updated=0.0,
+        rescued_nodes=0.0,
+        journal_replayed=cold.stats["contractions"],
+    )
+    assert {
+        k: v for k, v in warm.stats.items() if not k.endswith("_seconds")
+    } == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    _graphs(rich=True),
+    st.sampled_from(["heavy-edge", "uniform"]),
+    st.lists(st.integers(2, 6), min_size=2, max_size=2, unique=True),
+    st.integers(0, 2**16),
+    st.booleans(),
+)
+def test_property_warm_bisection_equals_cold(
+    graph, rating, targets, seed, same_partitioner
+):
+    """Later bisections of one netlist object replay its hierarchy, one
+    memo entry per coarsest-node target, from the partitioner that
+    recorded it or a new one, and match a cold copy's bisection."""
+
+    def make(target):
+        return NLevelPartitioner(
+            coarsest_nodes=target, coarsest_runs=2, rating=rating
+        )
+
+    recorders = {target: make(target) for target in targets}
+    for target in targets:
+        recorders[target].partition(graph, seed=seed + 1)
+    for target in targets:
+        partitioner = recorders[target] if same_partitioner else make(target)
+        warm = partitioner.partition(graph, seed=seed)
+        cold = partitioner.partition(_cold_copy(graph), seed=seed)
+        _assert_warm_equals_cold(warm, cold)
+
+
+def test_warm_bisection_of_a_stalled_coarsening_builds_no_queue(monkeypatch):
+    """Node 0 cannot pair under the weight cap (9 + 1 > 4 * 20 / 9), and
+    once 1-2 and 3-4 merge every other node reaches only node 0:
+    coarsening stalls at 10 alive nodes, above its target of 9.  A warm
+    bisection replays the two pairs and never builds a rating queue."""
+    graph = Hypergraph(
+        [[0, i] for i in range(1, 12)] + [[1, 2], [3, 4]],
+        node_weights=[9.0] + [1.0] * 11,
+    )
+    partitioner = NLevelPartitioner(coarsest_nodes=9, coarsest_runs=2)
+    first = partitioner.partition(graph, seed=0)
+    assert first.stats["coarsest_nodes"] == 10.0
+    assert first.stats["contractions"] == 2.0
+    cold = partitioner.partition(_cold_copy(graph), seed=1)
+
+    def no_queue(*args, **kwargs):
+        raise AssertionError("a memo hit built a coarsener")
+
+    monkeypatch.setattr(nlevel, "NLevelCoarsener", no_queue)
+    _assert_warm_equals_cold(partitioner.partition(graph, seed=1), cold)
+
+
+class TestHierarchyMemo:
+    TARGET = 16
+
+    def test_entry_dies_with_its_netlist(self):
+        # Not the fixture: pytest keeps a reference to fixture values.
+        graph = hierarchical_circuit(300, 320, 1150, seed=4)
+        memo = nlevel.HierarchyMemo()
+        _, mementos, _ = nlevel_coarsen(
+            graph, target_nodes=self.TARGET, memo=memo
+        )
+        knobs = (
+            self.TARGET, "heavy-edge", nlevel.DEFAULT_MAX_NET_SIZE,
+            4.0 * graph.total_node_weight / self.TARGET,
+            nlevel.DEFAULT_SAMPLE_PINS,
+        )
+        pairs = memo.get(graph, knobs)
+        assert list(pairs) == [x for pair in _pairs(mementos) for x in pair]
+        assert len(memo) == 1
+        pairs = weakref.ref(pairs)
+        graph_ref = weakref.ref(graph)
+        del graph, mementos
+        gc.collect()
+        assert graph_ref() is None
+        assert pairs() is None
+        assert len(memo) == 0
+
+    def test_memo_serves_only_the_object_and_knobs_it_recorded(
+        self, circuit
+    ):
+        memo = nlevel.HierarchyMemo()
+        _, cold, _ = nlevel_coarsen(
+            circuit, target_nodes=self.TARGET, memo=memo
+        )
+        _, warm, stats = nlevel_coarsen(
+            circuit, target_nodes=self.TARGET, memo=memo
+        )
+        assert _pairs(warm) == _pairs(cold)
+        assert stats == {
+            "contractions": 0.0, "ratings_updated": 0.0,
+            "rescued_nodes": 0.0, "journal_replayed": float(len(cold)),
+        }
+        for graph, target in (
+            (_cold_copy(circuit), self.TARGET),
+            (circuit, self.TARGET + 1),
+        ):
+            _, _, stats = nlevel_coarsen(graph, target_nodes=target, memo=memo)
+            assert stats["journal_replayed"] == 0.0
+            assert stats["ratings_updated"] > 0.0
+
+    def test_work_unit_pickles_no_hierarchy(self, circuit):
+        from repro.engine.units import (
+            WorkUnit,
+            partitioner_fingerprint,
+            unit_key,
+        )
+
+        partitioner = NLevelPartitioner(coarsest_runs=2)
+        unit = WorkUnit(circuit, partitioner, seed=0)
+        partitioner.partition(circuit, seed=0)
+        cold_size = len(pickle.dumps(unit))
+        fingerprint = partitioner_fingerprint(partitioner)
+        key = unit_key(unit, "test")
+        for seed in (1, 2):
+            warm = partitioner.partition(circuit, seed=seed)
+            assert warm.stats["journal_replayed"] > 0.0
+        data = pickle.dumps(unit)
+        assert len(data) == cold_size
+        assert partitioner_fingerprint(partitioner) == fingerprint
+        assert unit_key(unit, "test") == key
+        copy = pickle.loads(data)
+        first = copy.partitioner.partition(copy.graph, seed=3)
+        assert first.stats["journal_replayed"] == 0.0
+        assert first.stats["ratings_updated"] > 0.0
+
+    def test_threads_bisecting_one_netlist_match_cold(self, circuit):
+        """More threads than cores, switching often: every bisection,
+        whichever thread records the hierarchy, matches a cold copy's."""
+        seeds = (0, 1, 2, 3)
+        cold = {
+            seed: NLevelPartitioner(coarsest_runs=2).partition(
+                _cold_copy(circuit), seed=seed
+            )
+            for seed in seeds
+        }
+        barrier = threading.Barrier(len(seeds))
+        results = {}
+        errors = []
+
+        def bisect(seed):
+            try:
+                barrier.wait(timeout=60)
+                partitioner = NLevelPartitioner(coarsest_runs=2)
+                results[seed] = [
+                    partitioner.partition(circuit, seed=seed)
+                    for _ in range(2)
+                ]
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=bisect, args=(seed,))
+                for seed in seeds
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        for seed in seeds:
+            for result in results[seed]:
+                assert result.sides == cold[seed].sides
+                assert result.cut == cold[seed].cut
+                assert result.pass_cuts == cold[seed].pass_cuts
+            assert results[seed][1].stats["journal_replayed"] > 0.0
 
 
 # ---------------------------------------------------------------------------
