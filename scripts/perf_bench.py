@@ -10,6 +10,10 @@ Measures the three costs that dominate PROP runtime on each backend:
 * ``full_pass``        — a complete seeded ``run_prop`` (bootstrap,
                          refinement, move loop, rollback).
 
+PROP picks its sweep by instance size (``AUTO_SCALAR_CUTOFF_PINS``), so
+each ``full_pass`` row forces its backend by moving that cutoff
+(:func:`prop_sweep`).
+
 Three generator circuits sized like the paper's Table 1 small / medium /
 large rows (balu / s9234 / industry2) are used.  Results are written as
 JSON — by default to ``BENCH_kernels.json`` at the repo root, which is
@@ -27,9 +31,9 @@ gate CI runs on every push (in ``--smoke`` mode).
 
 ``--subround`` switches to the sub-round engine benchmark instead:
 ``full_pass`` with ``kernel="subround"`` at several worker counts
-against the sequential scalar baseline, on industry2 and a 10× synthetic
-instance (built directly with ``hierarchical_circuit`` — the named
-benchmark generators cap ``scale`` at 1.0).  Results go to
+against the sequential pass on the scalar sweep, on industry2 and a 10×
+synthetic instance (built directly with ``hierarchical_circuit`` — the
+named benchmark generators cap ``scale`` at 1.0).  Results go to
 ``BENCH_subround.json``; cuts are asserted identical across worker
 counts (the invariance contract), and ``--check`` gates a ``full_pass``
 speedup ≥ 1.5× at 4 workers on every circuit benched.
@@ -49,6 +53,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from typing import Callable, Dict, List
 
 sys.path.insert(
@@ -56,6 +61,7 @@ sys.path.insert(
 )
 
 import repro
+import repro.kernels as kernels
 from repro.core import PropConfig
 from repro.core.engine import run_prop
 from repro.core.probability import make_probability_fn
@@ -115,6 +121,18 @@ def _best_of(fn: Callable[[], None], reps: int) -> float:
     return best
 
 
+@contextmanager
+def prop_sweep(backend: str):
+    """Run PROP's pass-start sweeps on ``backend`` ("python" or "numpy")
+    at any instance size, by moving the cutoff PROP reads."""
+    saved = kernels.AUTO_SCALAR_CUTOFF_PINS
+    kernels.AUTO_SCALAR_CUTOFF_PINS = sys.maxsize if backend == "python" else 0
+    try:
+        yield
+    finally:
+        kernels.AUTO_SCALAR_CUTOFF_PINS = saved
+
+
 def _fresh_engine(graph, sides, kernel):
     engine = make_gain_engine(Partition(graph, list(sides)), kernel)
     engine.fill(0.5)
@@ -147,10 +165,11 @@ def bench_circuit(name: str, reps: int, full_pass: bool) -> Dict:
         timings["refine_iteration"] = _best_of(refine_iteration, reps)
 
         if full_pass:
-            config = PropConfig(kernel=backend, max_passes=1)
+            config = PropConfig(max_passes=1)
 
-            def one_pass(config=config):
-                result = run_prop(graph, sides, balance, config, seed=SEED)
+            def one_pass(config=config, backend=backend):
+                with prop_sweep(backend):
+                    result = run_prop(graph, sides, balance, config, seed=SEED)
                 cuts[backend] = result.cut
 
             timings["full_pass"] = _best_of(one_pass, max(1, reps // 2))
@@ -174,8 +193,9 @@ def bench_subround_circuit(name: str, graph, reps: int) -> Dict:
 
     Every sub-round run must produce the same cut at every worker count
     (the invariance contract); a divergence aborts the benchmark.  The
-    scalar baseline is ``kernel="python"`` — the sequential algorithm
-    the sub-round engine replaces, which is what a speedup here means.
+    baseline is the sequential algorithm the sub-round engine replaces,
+    on the scalar sweep at every size, which is what a speedup here
+    means.
     """
     sides = random_balanced_sides(graph, SEED)
     balance = BalanceConstraint.fifty_fifty(graph)
@@ -187,12 +207,13 @@ def bench_subround_circuit(name: str, graph, reps: int) -> Dict:
         "cuts": {},
     }
 
-    config = PropConfig(kernel="python", max_passes=1)
+    config = PropConfig(max_passes=1)
 
     def scalar_pass():
-        out["cuts"]["python"] = run_prop(
-            graph, sides, balance, config, seed=SEED
-        ).cut
+        with prop_sweep("python"):
+            out["cuts"]["python"] = run_prop(
+                graph, sides, balance, config, seed=SEED
+            ).cut
 
     out["timings"]["python"] = _best_of(scalar_pass, reps)
 

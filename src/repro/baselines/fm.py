@@ -19,12 +19,10 @@ from __future__ import annotations
 import time
 from typing import List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from ..audit import AuditConfig
+from ..core.config import KERNELS
 from ..datastructures import BucketGainContainer, TreeGainContainer
 from ..hypergraph import Hypergraph
-from ..kernels import CsrView, fm_gains, resolve_kernel
 from ..partition import (
     BalanceConstraint,
     BipartitionResult,
@@ -142,21 +140,17 @@ class FMGains(GainPolicy):
     """FM's gain rule for the sequential move loop: Eqn. (1) keys, kept
     exact by the critical-net delta rules after every move.
 
-    A ``csr`` view switches the pass-start gain sweep to the vectorized
-    kernel — bit-identical values either way.
+    The pass-start sweep sums Eqn. (1) in Python: at every size measured,
+    runs were no faster with the vectorized :func:`~repro.kernels.fm_gains`
+    (docs/performance.md).
     """
 
-    def __init__(
-        self,
-        partition: Partition,
-        container: str = "bucket",
-        csr: Optional[CsrView] = None,
-    ) -> None:
+    def __init__(self, partition: Partition, container: str = "bucket") -> None:
         if container == "bucket" and not partition.graph.has_unit_net_costs:
             raise ValueError(
                 "FM-bucket requires unit net costs; use container='tree'"
             )
-        super().__init__(partition, csr)
+        super().__init__(partition)
         self.container = container
 
     def new_containers(self) -> Tuple[Container, Container]:
@@ -164,18 +158,10 @@ class FMGains(GainPolicy):
 
     def initial_keys(self) -> List[float]:
         partition = self.partition
-        if self.csr is not None:
-            gains = fm_gains(
-                self.csr,
-                np.asarray(partition.sides_view(), dtype=np.intp),
-                np.asarray(partition.counts_view(0), dtype=np.int64),
-                np.asarray(partition.counts_view(1), dtype=np.int64),
-            ).tolist()
-        else:
-            gains = [
-                partition.immediate_gain(v)
-                for v in range(partition.graph.num_nodes)
-            ]
+        gains = [
+            partition.immediate_gain(v)
+            for v in range(partition.graph.num_nodes)
+        ]
         if self.container == "bucket":
             return [int(g) for g in gains]
         return gains
@@ -198,7 +184,7 @@ def run_fm(
     seed: Optional[int] = None,
     audit: Optional[AuditConfig] = None,
     recorder: Optional[Recorder] = None,
-    kernel: Optional[str] = None,
+    kernel: str = "auto",
     subround_workers: int = 0,
 ) -> BipartitionResult:
     """Run FM from an explicit initial partition.
@@ -213,12 +199,11 @@ def run_fm(
     ``recorder`` attaches a :class:`repro.telemetry.Recorder` (spans,
     per-move events, counters); recording never changes moves or cuts.
 
-    ``kernel`` selects the gain backend (see :mod:`repro.kernels`;
-    ``None`` means ``"auto"``).  The python/numpy backends are
-    bit-identical, so moves and cuts never depend on choosing between
-    them; ``"subround"`` switches the pass loop to deterministic batched
-    sub-rounds (:mod:`repro.kernels.subround`) — worker-count-invariant,
-    but a different move interleaving than the sequential loop.
+    ``kernel`` picks the pass engine (:data:`~repro.core.config.KERNELS`):
+    ``"auto"`` runs the sequential pass, and ``"subround"`` switches to
+    deterministic batched sub-rounds (:mod:`repro.kernels.subround`) —
+    worker-count-invariant, but a different move interleaving than the
+    sequential loop.
     Sub-rounds select moves by one vectorized sweep per round, not from
     a gain container, so ``container`` only names the run there.
     ``subround_workers`` fans that kernel's sweeps over shared-memory
@@ -228,16 +213,16 @@ def run_fm(
         raise ValueError(
             f"unknown container {container!r} (want 'bucket' or 'tree')"
         )
+    if kernel not in KERNELS:
+        raise ValueError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
     start = time.perf_counter()
     partition = Partition(graph, initial_sides)
-    kernel_name = resolve_kernel(kernel, num_pins=graph.num_pins)
-    if kernel_name == "subround":
+    if kernel == "subround":
         from ..kernels.subround import SubroundFMEngine
 
         engine = SubroundFMEngine(partition, seed, workers=subround_workers)
     else:
-        csr = CsrView(graph) if kernel_name == "numpy" else None
-        engine = FMGains(partition, container, csr)
+        engine = FMGains(partition, container)
     return run_passes(
         engine, balance, algorithm=f"FM-{container}", seed=seed,
         max_passes=max_passes, min_pass_gain=1e-9,
@@ -263,12 +248,15 @@ class FMPartitioner:
     ) -> None:
         if container not in ("bucket", "tree"):
             raise ValueError(f"unknown container {container!r}")
+        # Checked here, not only in run_fm: a bad value fingerprints like
+        # the default, so a warm cache would serve it without a run.
+        if kernel not in KERNELS:
+            raise ValueError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
         self.container = container
         self.max_passes = max_passes
-        # Underscore-prefixed: the sequential gain kernels cannot change
-        # results, so they must stay out of the experiment-cache
-        # fingerprint (which hashes only public attributes — see
-        # repro.engine.units).  The subround kernel *does* change move
+        # Underscore-prefixed: the experiment-cache fingerprint hashes
+        # only public attributes (repro.engine.units), and the default
+        # pass must keep its key.  The subround kernel changes move
         # interleaving, so selecting it sets a public family marker that
         # keys its runs separately.
         self._kernel = kernel
@@ -278,7 +266,7 @@ class FMPartitioner:
 
     @property
     def kernel(self) -> str:
-        """Configured gain-kernel backend (see :mod:`repro.kernels`)."""
+        """Configured pass engine (:data:`~repro.core.config.KERNELS`)."""
         return self._kernel
 
     @property

@@ -23,12 +23,11 @@ cutsets, are unchanged.
 from __future__ import annotations
 
 import time
-import warnings
 from typing import List, Optional, Sequence, Tuple
 
 from ..audit import AuditConfig
 from ..hypergraph import Hypergraph
-from ..kernels import CsrView, la_initial_vectors, resolve_kernel
+from ..kernels import CsrView, la_initial_vectors
 from ..partition import (
     BalanceConstraint,
     BipartitionResult,
@@ -76,25 +75,19 @@ class LAGains(GainPolicy):
     """LA-k's gain rule for the sequential move loop: lexicographic gain
     vectors, recomputed for every free neighbor after each move.
 
-    A ``csr`` view switches the pass-start vector sweep to the
-    vectorized kernel — bit-identical values either way (passes always
-    start unlocked, the kernel's precondition).
+    The pass-start vectors come from the vectorized
+    :func:`~repro.kernels.la_initial_vectors`, which returns
+    :func:`gain_vector`'s values (passes always start unlocked, the
+    kernel's precondition) and made runs faster at every size measured
+    (docs/performance.md).
     """
 
-    def __init__(
-        self, partition: Partition, k: int, csr: Optional[CsrView] = None
-    ) -> None:
-        super().__init__(partition, csr)
+    def __init__(self, partition: Partition, k: int) -> None:
+        super().__init__(partition, CsrView(partition.graph))
         self.k = k
 
     def initial_keys(self) -> List[GainVector]:
-        partition = self.partition
-        if self.csr is not None:
-            return la_initial_vectors(self.csr, partition, self.k)
-        return [
-            gain_vector(partition, v, self.k)
-            for v in range(partition.graph.num_nodes)
-        ]
+        return la_initial_vectors(self.csr, self.partition, self.k)
 
     def apply_move(self, node, from_side, containers, counters) -> float:
         partition = self.partition
@@ -129,7 +122,6 @@ def run_la(
     seed: Optional[int] = None,
     audit: Optional[AuditConfig] = None,
     recorder: Optional[Recorder] = None,
-    kernel: Optional[str] = None,
 ) -> BipartitionResult:
     """Run LA-k from an explicit initial partition.
 
@@ -144,30 +136,13 @@ def run_la(
     ``recorder`` attaches a :class:`repro.telemetry.Recorder` (spans,
     per-move events with the gain *vector* as the selection key, and
     counters); recording never changes moves or cuts.
-
-    ``kernel`` selects the vector-bootstrap backend (see
-    :mod:`repro.kernels`; ``None`` means ``"auto"``).  The backends are
-    bit-identical, so moves and cuts never depend on this.  LA has no
-    sub-round pass engine (the lookahead vectors have no batched
-    formulation yet); requesting ``"subround"`` warns and runs the
-    sequential numpy path.
     """
     if k < 1:
         raise ValueError(f"lookahead k must be >= 1, got {k}")
     start = time.perf_counter()
     partition = Partition(graph, initial_sides)
-    kernel_name = resolve_kernel(kernel, num_pins=graph.num_pins)
-    if kernel_name == "subround":
-        warnings.warn(
-            "LA has no subround pass engine; using the sequential "
-            "numpy backend",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        kernel_name = "numpy"
-    csr = CsrView(graph) if kernel_name == "numpy" else None
     return run_passes(
-        LAGains(partition, k, csr), balance, algorithm=f"LA-{k}", seed=seed,
+        LAGains(partition, k), balance, algorithm=f"LA-{k}", seed=seed,
         max_passes=max_passes, min_pass_gain=1e-9,
         audit=audit, recorder=recorder, start=start,
     )
@@ -186,21 +161,11 @@ class LAPartitioner:
         self,
         k: int = 2,
         max_passes: int = DEFAULT_MAX_PASSES,
-        kernel: str = "auto",
     ) -> None:
         if k < 1:
             raise ValueError(f"lookahead k must be >= 1, got {k}")
         self.k = k
         self.max_passes = max_passes
-        # Underscore-prefixed: the gain kernel cannot change results, so
-        # it must stay out of the experiment-cache fingerprint (which
-        # hashes only public attributes — see repro.engine.units).
-        self._kernel = kernel
-
-    @property
-    def kernel(self) -> str:
-        """Configured gain-kernel backend (see :mod:`repro.kernels`)."""
-        return self._kernel
 
     @property
     def name(self) -> str:
@@ -229,7 +194,6 @@ class LAPartitioner:
             seed=seed,
             audit=audit,
             recorder=recorder,
-            kernel=self._kernel,
         )
         result.verify(graph)
         return result

@@ -70,7 +70,7 @@ from .baselines import (
     WindowPartitioner,
 )
 from .core import PropConfig, PropPartitioner
-from .kernels import AUTO_SCALAR_CUTOFF_PINS, KERNEL_CHOICES
+from .core.config import KERNELS
 from .hypergraph import BENCHMARK_NAMES, Hypergraph, compute_stats, make_benchmark
 from .hypergraph import io_ as netlist_io
 from .multirun import run_many
@@ -100,7 +100,7 @@ def _make_partitioner(
             "tree", kernel=kern, subround_workers=subround_workers
         )
     if key.startswith("la-"):
-        return LAPartitioner(int(key.split("-", 1)[1]), kernel=kern)
+        return LAPartitioner(int(key.split("-", 1)[1]))
     if key == "kl":
         return KLPartitioner()
     if key == "eig1":
@@ -202,14 +202,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="base seed")
     parser.add_argument(
         "--kernel",
-        choices=KERNEL_CHOICES,
+        choices=KERNELS,
         default="auto",
-        help="gain-kernel backend for PROP/FM/LA (default auto: numpy "
-        f"at >= {AUTO_SCALAR_CUTOFF_PINS} pins, python below; REPRO_KERNEL "
-        "overrides auto). python/numpy are bit-identical — same moves and "
-        "cuts — so choosing between them only affects runtime; subround "
-        "runs deterministic batched sub-round passes (different move "
-        "interleaving, worker-count-invariant results)",
+        help="pass engine for PROP/FM (default auto: the paper's "
+        "sequential pass); subround runs deterministic batched sub-round "
+        "passes (different move interleaving, worker-count-invariant "
+        "results)",
     )
     parser.add_argument(
         "--subround-workers",
@@ -1131,8 +1129,8 @@ def _build_ensemble_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument("--seed", type=int, default=0, help="base seed")
     solve.add_argument(
-        "--kernel", choices=KERNEL_CHOICES, default="auto",
-        help="gain-kernel backend (default auto)",
+        "--kernel", choices=KERNELS, default="auto",
+        help="pass engine for PROP/FM (default auto)",
     )
     _add_engine_flags(solve)
     return parser
@@ -1278,9 +1276,10 @@ def _build_bench_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="base seed")
     parser.add_argument(
         "--kernel",
-        choices=KERNEL_CHOICES,
+        choices=KERNELS,
         default="auto",
-        help="gain-kernel backend (default auto; see prop-partition --help)",
+        help="pass engine for PROP/FM (default auto; see prop-partition "
+        "--help)",
     )
     parser.add_argument(
         "--subround-workers",

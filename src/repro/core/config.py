@@ -20,17 +20,13 @@ INIT_METHODS = ("pinit", "deterministic")
 #: sigmoid is provided for the ablation benches).
 PROBABILITY_FUNCTIONS = ("linear", "sigmoid")
 
-#: Gain-kernel backends (see :mod:`repro.kernels`): "auto" picks numpy
-#: when the instance is large enough (deferring to the
-#: ``REPRO_KERNEL`` environment variable first), "python"/"numpy" force
-#: a backend.  Those two are bit-identical — same moves, same cuts — so
-#: the switch is runtime-only and excluded from experiment-cache
-#: fingerprints.  "subround" (never auto-selected) replaces the pass
-#: loop with deterministic batched sub-rounds
-#: (:mod:`repro.kernels.subround`); it changes move interleaving and
-#: hence results, so it *does* enter fingerprints, via
-#: :meth:`PropConfig.fingerprint_extra`.
-KERNELS = ("auto", "python", "numpy", "subround")
+#: Pass engines for PROP and FM (see :mod:`repro.kernels`): "auto" runs
+#: the paper's sequential pass, whose pass-start gain sweep each engine
+#: picks for itself; "subround" replaces the pass loop with
+#: deterministic batched sub-rounds (:mod:`repro.kernels.subround`).
+#: That changes move interleaving and hence results, so it enters
+#: experiment-cache fingerprints, via :meth:`PropConfig.fingerprint_extra`.
+KERNELS = ("auto", "subround")
 
 @dataclass(frozen=True)
 class PropConfig:
@@ -67,10 +63,8 @@ class PropConfig:
         A pass must improve the cut by more than this to continue
         (guards against infinite loops with tiny float net costs).
     kernel:
-        Gain-kernel backend — see :data:`KERNELS`.  The sequential
-        backends are result-neutral (bit-identical moves and cuts); the
-        ``"subround"`` backend is not, and is fingerprinted via
-        :meth:`fingerprint_extra`.
+        Pass engine — see :data:`KERNELS`.  ``"subround"`` changes
+        results and is fingerprinted via :meth:`fingerprint_extra`.
     subround_workers:
         Shared-memory workers for the ``"subround"`` kernel (0/1 = run
         the sweeps inline).  Never affects results — the sub-round
@@ -102,10 +96,11 @@ class PropConfig:
     #: Fields that cannot affect results and are therefore skipped by the
     #: experiment-cache fingerprint (see :mod:`repro.engine.units`).  Not
     #: a dataclass field (no annotation) — a class-level constant.
-    #: ``subround_batch_fraction`` is listed here so python/numpy runs
-    #: stay kernel-neutral; when the subround kernel is selected (the
-    #: only case where it matters) :meth:`fingerprint_extra` puts it
-    #: back into the key.
+    #: ``kernel`` and ``subround_batch_fraction`` are listed here so
+    #: sequential runs keep their keys; when the subround kernel is
+    #: selected (the only case where they matter)
+    #: :meth:`fingerprint_extra` adds a family marker and the batch
+    #: fraction to the key.
     _RESULT_NEUTRAL_FIELDS = frozenset(
         {"kernel", "subround_workers", "subround_batch_fraction"}
     )
@@ -153,8 +148,7 @@ class PropConfig:
         The sub-round kernel is a different algorithm, so runs under it
         must not share cache entries with sequential runs: the family
         marker and the batch fraction (which shapes its move order)
-        enter the key.  For the sequential kernels this returns ``{}``,
-        keeping the kernel switch fingerprint-neutral as before.
+        enter the key.  For the sequential pass this returns ``{}``.
         """
         if self.kernel == "subround":
             return {

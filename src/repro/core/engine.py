@@ -18,9 +18,9 @@ import time
 from itertools import accumulate
 from typing import List, Optional, Sequence
 
+from .. import kernels
 from ..audit import AuditConfig
 from ..hypergraph import Hypergraph
-from ..kernels import make_gain_engine, resolve_kernel
 from ..partition import BalanceConstraint, BipartitionResult, Partition
 from ..passes import GainPolicy, run_passes
 from ..telemetry import Recorder
@@ -59,17 +59,12 @@ def run_prop(
     start = time.perf_counter()
 
     partition = Partition(graph, initial_sides)
-    # Backend selection (repro.kernels): the sequential backends are
-    # bit-identical, so that choice affects runtime only — never moves
-    # or cuts.  The subround kernel replaces the whole pass and is only
-    # ever selected explicitly.
-    kernel = resolve_kernel(config.kernel, num_pins=graph.num_pins)
-    if kernel == "subround":
+    if config.kernel == "subround":
         from ..kernels.subround import SubroundPropEngine
 
         engine = SubroundPropEngine(partition, config, seed)
     else:
-        engine = PropGains(partition, config, kernel)
+        engine = PropGains(partition, config)
     return run_passes(
         engine, balance, algorithm="PROP", seed=seed,
         max_passes=config.max_passes, min_pass_gain=config.min_pass_gain,
@@ -83,8 +78,10 @@ class PropGains(GainPolicy):
     Per pass: bootstrap the probabilities, refine gains ↔ probabilities,
     key the containers by the refined gains; after every move, refresh
     the gain and probability of each free neighbor and of the
-    top-ranked nodes of each side (Sec. 3.4).  ``kernel`` names a
-    resolved sequential backend (``"python"`` or ``"numpy"``).
+    top-ranked nodes of each side (Sec. 3.4).  The pass-start sweeps run
+    on the numpy engine from
+    :data:`~repro.kernels.AUTO_SCALAR_CUTOFF_PINS` pins up and on the
+    scalar loop below; both return the same floats.
 
     ``stale`` flags each node whose gain inputs — the side and
     probability of every other pin of its nets — may have changed since
@@ -107,10 +104,11 @@ class PropGains(GainPolicy):
 
     phases = ("bootstrap", "refine", "gain_init", "move_loop")
 
-    def __init__(
-        self, partition: Partition, config: PropConfig, kernel: str
-    ) -> None:
-        engine = make_gain_engine(partition, kernel)
+    def __init__(self, partition: Partition, config: PropConfig) -> None:
+        large = partition.graph.num_pins >= kernels.AUTO_SCALAR_CUTOFF_PINS
+        engine = kernels.make_gain_engine(
+            partition, "numpy" if large else "python"
+        )
         super().__init__(partition, getattr(engine, "csr", None))
         self.engine = engine
         self.config = config

@@ -57,10 +57,6 @@ class ProbabilisticGainEngine:
 
     __slots__ = ("partition", "p", "probability_writes", "underflow_recomputes")
 
-    #: Backend identifier reported in run stats; the numpy subclass
-    #: (:class:`repro.kernels.NumpyGainEngine`) overrides this.
-    kernel_name = "python"
-
     def __init__(
         self,
         partition: Partition,

@@ -104,15 +104,17 @@ def _canonical_value(value: Any) -> Any:
     """Reduce a config attribute to a stable, repr-able structure.
 
     Dataclass configs may declare a ``_RESULT_NEUTRAL_FIELDS`` frozenset
-    of field names that cannot affect results (e.g. ``PropConfig.kernel``,
-    a pure runtime-backend switch); those are excluded so switching them
-    does not invalidate cached results — the same policy as the audit
-    config, which never enters the key at all.
+    of field names that cannot affect results (e.g.
+    ``PropConfig.subround_workers``, which changes only wall-clock);
+    those are excluded so switching them does not invalidate cached
+    results — the same policy as the audit config, which never enters
+    the key at all.
 
     A config may additionally define a ``fingerprint_extra()`` method
     returning key material that is *conditionally* result-relevant —
-    e.g. ``PropConfig`` re-inserts the neutral-by-default batch fraction
-    exactly when the result-changing subround kernel is selected.  The
+    e.g. ``PropConfig`` adds a family marker and the neutral-by-default
+    batch fraction exactly when the result-changing subround kernel is
+    selected.  The
     extra entries are merged under ``~``-prefixed keys (field names
     never start with ``~``, so they cannot collide or spoof a field).
     """

@@ -3,8 +3,7 @@
 :class:`repro.hypergraph.Hypergraph` stores nets as tuples-of-tuples —
 ideal for the scalar engines, but every vectorized operation would pay a
 Python-level gather.  :class:`CsrView` packs the same incidence structure
-into contiguous arrays once per run (``run_prop`` / ``run_fm`` /
-``run_la`` build it at engine construction):
+into contiguous arrays once per run, at engine construction:
 
 * **net-major** — ``pin_node[j]`` lists every net's pins back to back
   (``net_offset[e] .. net_offset[e+1]`` is net ``e``'s slice, pins in the
@@ -18,10 +17,10 @@ the scalar loops, which accumulate per-net products in net-pin order and
 per-node sums in ``node_nets`` order.  Both layouts preserve exactly
 those orders (see :mod:`repro.kernels.numpy_backend`).
 
-numpy is a hard dependency.  The vectorized backends build a view: the
-sub-round engines always, the numpy backend whenever it runs.  ``"auto"``
-picks numpy at :data:`repro.kernels.AUTO_SCALAR_CUTOFF_PINS` pins and
-above, and the scalar backend below.
+numpy is a hard dependency.  The engines whose sweeps are vectorized
+build a view: every LA-k run, the sub-round engines, and PROP's numpy
+engine, which it uses from :data:`repro.kernels.AUTO_SCALAR_CUTOFF_PINS`
+pins up.  A sequential FM run builds none.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """NumPy gain kernels — bit-identical vectorization of the scalar engines.
 
 This module holds the one vectorized implementation of each gain
-equation, and every vectorized caller goes through it: the numpy
-backend's :class:`NumpyGainEngine`, FM's pass-start gain sweep, the
-sub-round engines of :mod:`repro.kernels.subround` and the
-shared-memory workers of :mod:`repro.engine.shm`.
+equation, and every vectorized caller goes through it: PROP's
+:class:`NumpyGainEngine`, LA-k's pass-start sweep, the sub-round
+engines of :mod:`repro.kernels.subround` and the shared-memory workers
+of :mod:`repro.engine.shm`.
 
 * :func:`prop_products` then :func:`prop_gains` — PROP's probabilistic
   gains (paper Eqns. 2–6, reduced to Eqns. 3/4 in
@@ -24,7 +24,7 @@ The contract of this module is *exact* numerical equivalence with
 :mod:`repro.core.gains` (and the FM/LA init loops): same floats, same
 underflow-guard branches, same counter increments — so the move sequences,
 prefix choices, and cuts of every partitioner are identical bit for bit
-regardless of backend.  That contract rests on three verified properties
+whichever sweep runs.  That contract rests on three verified properties
 of the primitives used here (and *only* these primitives):
 
 * ``np.multiply.at(out, idx, factors)`` applies factors **sequentially in
@@ -322,12 +322,10 @@ class NumpyGainEngine(ProbabilisticGainEngine):
     Overrides the O(m) sweep of the pass-start refinement with the array
     kernels above over a :class:`CsrView`.  Everything else — scalar
     ``node_gain``, probability maintenance, validation — is inherited, so
-    the move loop is *identical* code to the python backend.
+    the move loop is *identical* code after either sweep.
     """
 
     __slots__ = ("csr", "_prods", "_scratch")
-
-    kernel_name = "numpy"
 
     def __init__(
         self,

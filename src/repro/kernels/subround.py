@@ -11,8 +11,8 @@ kernel restructures a pass along the synchronous sub-round scheme of
 1. **gains** — all node gains are computed vectorized on the
    :class:`~repro.kernels.csr.CsrView` by the one kernel per gain
    equation in :mod:`repro.kernels.numpy_backend` (probabilistic
-   Eqns. 3/4 for PROP, Eqn. 1 for FM — the kernels the numpy backend
-   uses too), and between sub-rounds only for the nodes a batch
+   Eqns. 3/4 for PROP, Eqn. 1 for FM — the kernels PROP's numpy
+   engine uses too), and between sub-rounds only for the nodes a batch
    touched;
 2. **select** — a batch of best-gain, balance-feasible, **net-disjoint**
    moves is chosen by one deterministic greedy sweep over the candidates
@@ -46,11 +46,10 @@ that replay, and the pass journal feeds the existing
 ``after_rollback`` full-pass replay unchanged.
 
 Note the sub-round kernel is a **different algorithm** from the
-sequential ``python``/``numpy`` backends (same family, different move
-interleaving): cuts are comparable but not identical.  It therefore
-participates in experiment-cache fingerprints (see
-``PropConfig.fingerprint_extra`` / :mod:`repro.engine.units`), unlike
-the bit-identical backend switch.
+sequential pass (same family, different move interleaving): cuts are
+comparable but not identical.  It therefore participates in
+experiment-cache fingerprints (see ``PropConfig.fingerprint_extra`` /
+:mod:`repro.engine.units`).
 """
 
 from __future__ import annotations
@@ -235,7 +234,6 @@ class _SubroundEngineBase:
     calls :meth:`run_pass` per pass and :meth:`close` in a ``finally``.
     """
 
-    kernel_name = "subround"
     algorithm = "subround"
 
     def __init__(

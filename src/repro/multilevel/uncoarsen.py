@@ -44,6 +44,13 @@ from .nlevel import (
     nlevel_coarsen,
 )
 
+#: Interleaved full refinement: every time the alive node count grows
+#: past this many times its size at the previous full refinement,
+#: uncoarsening pauses and the refiner runs on a snapshot of the whole
+#: intermediate graph.  This recovers the V-cycle's
+#: refine-at-every-level quality at a geometric (not per-level) cost.
+REFINE_GROWTH = 8.0
+
 
 class UncoarsenState:
     """Exact incremental partition state over a :class:`DynamicHypergraph`.
@@ -402,9 +409,7 @@ class NLevelPartitioner:
     Drop-in peer of :class:`~repro.multilevel.vcycle.MultilevelPartitioner`
     (same constructor shape, same harness protocol) built on
     :func:`~repro.multilevel.nlevel.nlevel_coarsen`.  ``coarsen_journal``
-    (a path) enables resumable coarsening through a sealed JSONL journal;
-    ``final_refine=False`` skips the finest-level full-graph refinement
-    (bench instrumentation only).
+    (a path) enables resumable coarsening through a sealed JSONL journal.
 
     The hierarchy depends on the netlist and the coarsening knobs, never
     on the seed, so only a netlist object's first bisection coarsens:
@@ -428,8 +433,6 @@ class NLevelPartitioner:
         sample_pins: int = DEFAULT_SAMPLE_PINS,
         coarsen_journal=None,
         journal_batch: Optional[int] = None,
-        final_refine: bool = True,
-        refine_growth: Optional[float] = 8.0,
     ) -> None:
         if coarsest_nodes < 2:
             raise ValueError("coarsest_nodes must be >= 2")
@@ -437,8 +440,6 @@ class NLevelPartitioner:
             raise ValueError("coarsest_runs must be >= 1")
         if rating not in ("heavy-edge", "uniform"):
             raise ValueError(f"unknown rating {rating!r}")
-        if refine_growth is not None and refine_growth <= 1.0:
-            raise ValueError("refine_growth must be > 1.0 (or None)")
         self.refiner = refiner if refiner is not None else PropPartitioner()
         self.coarsest_nodes = coarsest_nodes
         self.coarsest_runs = coarsest_runs
@@ -449,37 +450,24 @@ class NLevelPartitioner:
             None if coarsen_journal is None else str(coarsen_journal)
         )
         self.journal_batch = journal_batch
-        self.final_refine = final_refine
-        #: Interleaved full refinement: every time the alive node count
-        #: grows past ``refine_growth``x its size at the previous full
-        #: refinement, pause uncoarsening and run the refiner on a
-        #: snapshot of the whole intermediate graph.  This recovers the
-        #: V-cycle's refine-at-every-level quality at a geometric (not
-        #: per-level) cost; None disables it (purely local refinement).
-        self.refine_growth = (
-            None if refine_growth is None else float(refine_growth)
-        )
 
-    def _stage_boundaries(
-        self, total: int, coarse_nodes: int
-    ) -> List[int]:
+    @staticmethod
+    def _stage_boundaries(total: int, coarse_nodes: int) -> List[int]:
         """Memento indices at which to pause for a full stage refine.
 
         Walking the stack from the coarsest end, a boundary is placed
-        whenever the alive count reaches ``refine_growth``x its value at
-        the previous boundary.  Index 0 (the fully uncontracted graph)
-        is excluded — the final full refinement covers it.
+        whenever the alive count reaches :data:`REFINE_GROWTH` times its
+        value at the previous boundary.  Index 0 (the fully uncontracted
+        graph) is excluded — the final full refinement covers it.
         """
-        if self.refine_growth is None:
-            return []
         bounds: List[int] = []
         alive = max(coarse_nodes, 1)
-        nxt = alive * self.refine_growth
+        nxt = alive * REFINE_GROWTH
         for i in range(total - 1, -1, -1):
             alive += 1
             if alive >= nxt and i > 0:
                 bounds.append(i)
-                nxt = alive * self.refine_growth
+                nxt = alive * REFINE_GROWTH
         return bounds
 
     def _stage_refine(
@@ -604,7 +592,7 @@ class NLevelPartitioner:
         passes = state.uncontract_batches
         pass_cuts: List[float] = []
         final_stats: Dict[str, float] = {}
-        if self.final_refine and mementos:
+        if mementos:
             res = self.refiner.partition(
                 graph, balance=balance, initial_sides=state.sides,
                 seed=base_seed + 1,

@@ -69,8 +69,8 @@ class GainPolicy:
     Subclasses supply the gain rule — :meth:`initial_keys`,
     :meth:`apply_move` and :meth:`audit` — and inherit the one move loop
     (:meth:`run_pass`): pick, remove, apply the policy's move, record,
-    audit.  ``csr`` is the :class:`repro.kernels.CsrView` of the numpy
-    backend, or ``None`` on the scalar path.
+    audit.  ``csr`` is the :class:`repro.kernels.CsrView` of a policy
+    whose pass-start sweep is vectorized, or ``None``.
     """
 
     #: Phases one pass reports, in span order (the driver adds rollback).
@@ -106,7 +106,8 @@ class GainPolicy:
         """Deep-check the policy's gain state after an audited move."""
 
     def run_stats(self) -> dict:
-        """Run-level stats after the phase timings: the backend used."""
+        """Run-level stats after the phase timings: whether the sweep
+        was vectorized, and the CSR view's build time if it was."""
         stats = {"kernel_numpy": 1.0 if self.csr is not None else 0.0}
         if self.csr is not None:
             stats["csr_build_seconds"] = self.csr.build_seconds

@@ -11,11 +11,14 @@ for bit after any sequence of moves and probability writes.
 
 import math
 import random
+import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.kernels as kernels
 from repro.core import PropConfig
 from repro.core.engine import PropGains
 from repro.core.gains import ProbabilisticGainEngine
@@ -351,10 +354,13 @@ class TestTermMemo:
         """Moves go through ``PropGains.apply_move`` (epoch bump,
         neighbour and top-k refresh, their probability writes) and
         probability writes through ``_set_probability`` right after the
-        node's own gain, as in a pass."""
+        node's own gain, as in a pass.  ``kernel`` picks the engine
+        ``PropGains`` builds, by moving the cutoff."""
         graph, sides, probabilities, steps = run
         partition = Partition(graph, sides)
-        policy = PropGains(partition, PropConfig(), kernel)
+        cutoff = sys.maxsize if kernel == "python" else 0
+        with mock.patch.object(kernels, "AUTO_SCALAR_CUTOFF_PINS", cutoff):
+            policy = PropGains(partition, PropConfig())
         engine = policy.engine
         for v, value in enumerate(probabilities):
             engine.set_probability(v, value)

@@ -3,7 +3,7 @@
 PROP, FM-bucket, FM-tree and LA-k all run through one pass skeleton
 (:mod:`repro.passes`), and the sub-round engines run under the same
 driver.  These tests pin what that skeleton shows a recorder, per
-engine and kernel:
+engine and pass-start sweep:
 
 * the recorder event sequence with timings stripped — event names, pass
   indices, and every move's node, side, selection key and immediate
@@ -21,9 +21,11 @@ platform.  Regenerate them after an intentional behaviour change with
 import functools
 import hashlib
 import json
+from unittest import mock
 
 import pytest
 
+import repro.kernels as kernels
 from repro.baselines.fm import run_fm
 from repro.baselines.la import run_la
 from repro.core import PropConfig
@@ -41,68 +43,46 @@ _SUBROUND = (
     "subround_workers", "subround_shm_fallbacks", "shm_attach_seconds",
 )
 
+
+def _vectorized_prop(g, s, b, r):
+    """PROP with its numpy sweep, which hier150's 580 pins sit below."""
+    with mock.patch.object(kernels, "AUTO_SCALAR_CUTOFF_PINS", 0):
+        return run_prop(g, s, b, PropConfig(), seed=CORPUS_SEED, recorder=r)
+
+
 #: case -> (runner, expected stats keys, expected sequence digest)
 CASES = {
     "prop-python": (
         lambda g, s, b, r: run_prop(
-            g, s, b, PropConfig(kernel="python"), seed=CORPUS_SEED,
-            recorder=r,
+            g, s, b, PropConfig(), seed=CORPUS_SEED, recorder=r,
         ),
         ("tentative_moves", "kernel_numpy", "underflow_recomputes")
         + _PROP_PHASES,
         "e6ffd59185c9dca5",
     ),
     "prop-numpy": (
-        lambda g, s, b, r: run_prop(
-            g, s, b, PropConfig(kernel="numpy"), seed=CORPUS_SEED,
-            recorder=r,
-        ),
+        _vectorized_prop,
         ("tentative_moves", "kernel_numpy", "underflow_recomputes")
         + _PROP_PHASES + _CSR,
         "87ea8b723a52378e",
     ),
     "fm-bucket-python": (
         lambda g, s, b, r: run_fm(
-            g, s, b, container="bucket", kernel="python", seed=CORPUS_SEED,
-            recorder=r,
+            g, s, b, container="bucket", seed=CORPUS_SEED, recorder=r,
         ),
         ("tentative_moves", "kernel_numpy") + _PHASES,
         "a85f6bbc2be16c72",
     ),
-    "fm-bucket-numpy": (
-        lambda g, s, b, r: run_fm(
-            g, s, b, container="bucket", kernel="numpy", seed=CORPUS_SEED,
-            recorder=r,
-        ),
-        ("tentative_moves", "kernel_numpy") + _PHASES + _CSR,
-        "15641e4f59135e88",
-    ),
     "fm-tree-python": (
         lambda g, s, b, r: run_fm(
-            g, s, b, container="tree", kernel="python", seed=CORPUS_SEED,
-            recorder=r,
+            g, s, b, container="tree", seed=CORPUS_SEED, recorder=r,
         ),
         ("tentative_moves", "kernel_numpy") + _PHASES,
         "f03e7880b8e55cbb",
     ),
-    "fm-tree-numpy": (
-        lambda g, s, b, r: run_fm(
-            g, s, b, container="tree", kernel="numpy", seed=CORPUS_SEED,
-            recorder=r,
-        ),
-        ("tentative_moves", "kernel_numpy") + _PHASES + _CSR,
-        "071c19257b215800",
-    ),
-    "la-2-python": (
-        lambda g, s, b, r: run_la(
-            g, s, b, k=2, kernel="python", seed=CORPUS_SEED, recorder=r,
-        ),
-        ("tentative_moves", "kernel_numpy") + _PHASES,
-        "b918d2b268ec8275",
-    ),
     "la-2-numpy": (
         lambda g, s, b, r: run_la(
-            g, s, b, k=2, kernel="numpy", seed=CORPUS_SEED, recorder=r,
+            g, s, b, k=2, seed=CORPUS_SEED, recorder=r,
         ),
         ("tentative_moves", "kernel_numpy") + _PHASES + _CSR,
         "c99f294dc2fef2d8",

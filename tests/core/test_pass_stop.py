@@ -38,18 +38,14 @@ pytestmark = pytest.mark.audit
 
 #: name -> runner(graph, sides, balance, recorder)
 RUNNERS = {
-    "prop": lambda g, s, b, r: run_prop(
-        g, s, b, PropConfig(kernel="python"), recorder=r
-    ),
+    "prop": lambda g, s, b, r: run_prop(g, s, b, PropConfig(), recorder=r),
     "fm-bucket": lambda g, s, b, r: run_fm(
-        g, s, b, container="bucket", kernel="python", recorder=r
+        g, s, b, container="bucket", recorder=r
     ),
     "fm-tree": lambda g, s, b, r: run_fm(
-        g, s, b, container="tree", kernel="python", recorder=r
+        g, s, b, container="tree", recorder=r
     ),
-    "la-3": lambda g, s, b, r: run_la(
-        g, s, b, k=3, kernel="python", recorder=r
-    ),
+    "la-3": lambda g, s, b, r: run_la(g, s, b, k=3, recorder=r),
     "prop-subround": lambda g, s, b, r: run_prop(
         g, s, b, PropConfig(kernel="subround"), recorder=r
     ),

@@ -8,15 +8,17 @@ changes move order.  So every assertion here is ``==``, never
 """
 
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.kernels as kernels
 from repro.core.gains import DIV_SAFE_MIN, ProbabilisticGainEngine
 from repro.hypergraph import Hypergraph
-from repro.kernels import make_gain_engine, resolve_kernel
+from repro.kernels import make_gain_engine
 from repro.kernels.numpy_backend import (
     NumpyGainEngine,
     fm_gains,
@@ -181,128 +183,111 @@ class TestInitialGainKernels:
 
 
 class TestResolution:
-    def test_explicit_names_pass_through(self):
-        assert resolve_kernel("python") == "python"
-        assert resolve_kernel("numpy") == "numpy"  # numpy importable here
-
     def test_unknown_name_rejected(self):
+        """``"auto"`` and ``"subround"`` are the only kernel names; any
+        other, the sweep names included, fails loudly in config and FM."""
+        from repro.baselines.fm import FMPartitioner, run_fm
+        from repro.core import PropConfig
+
+        for name in ("python", "numpy", "fortran"):
+            with pytest.raises(ValueError):
+                PropConfig(kernel=name)
+            with pytest.raises(ValueError):
+                FMPartitioner(kernel=name)
+        graph = random_instance(1)
+        sides = random_balanced_sides(graph, 1)
+        balance = BalanceConstraint.fifty_fifty(graph)
         with pytest.raises(ValueError):
-            resolve_kernel("fortran")
+            run_fm(graph, sides, balance, kernel="python")
 
-    def test_auto_prefers_numpy_when_available(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        assert resolve_kernel("auto") == "numpy"
-        assert resolve_kernel(None) == "numpy"
+    def test_cli_rejects_removed_kernel(self, capsys):
+        from repro.cli import main
 
-    def test_env_var_steers_auto(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "python")
-        assert resolve_kernel("auto") == "python"
-        monkeypatch.setenv("REPRO_KERNEL", "numpy")
-        assert resolve_kernel("auto") == "numpy"
-
-    def test_env_var_does_not_override_explicit(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "numpy")
-        assert resolve_kernel("python") == "python"
-
-    def test_unknown_env_value_warns_and_falls_through(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "cuda")
-        with pytest.warns(RuntimeWarning):
-            assert resolve_kernel("auto") in ("python", "numpy")
+        with pytest.raises(SystemExit) as exc:
+            main(["--generate", "t5", "--scale", "0.1", "-a", "prop",
+                  "--kernel", "python"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_make_gain_engine_backends(self):
         graph = random_instance(1)
         partition = Partition(graph, random_balanced_sides(graph, 1))
-        assert make_gain_engine(partition, "python").kernel_name == "python"
-        assert make_gain_engine(partition, "numpy").kernel_name == "numpy"
+        assert type(make_gain_engine(partition, "python")) is (
+            ProbabilisticGainEngine
+        )
+        assert type(make_gain_engine(partition, "numpy")) is NumpyGainEngine
+
+
+def _fingerprint(partitioner):
+    """First 16 hex digits of the partitioner's cache fingerprint."""
+    from repro.engine.units import partitioner_fingerprint
+
+    return partitioner_fingerprint(partitioner)[:16]
 
 
 class TestFingerprintNeutrality:
-    """Backend choice must not change experiment-cache identities."""
+    """Backend choice must not change experiment-cache identities: the
+    default partitioners keep the fingerprints they had while the
+    pass-start sweep was still a user switch."""
 
     def test_prop_config_fingerprint_ignores_kernel(self):
         from repro.core import PropConfig, PropPartitioner
-        from repro.engine.units import partitioner_fingerprint
 
-        fps = {
-            partitioner_fingerprint(
-                PropPartitioner(PropConfig(kernel=k))
-            )
-            for k in ("auto", "python", "numpy")
-        }
-        assert len(fps) == 1
+        assert _fingerprint(PropPartitioner()) == "95e73f2c0a069d77"
+        assert _fingerprint(
+            PropPartitioner(PropConfig(kernel="auto"))
+        ) == "95e73f2c0a069d77"
 
     def test_fm_la_fingerprints_ignore_kernel(self):
         from repro.baselines import FMPartitioner, LAPartitioner
-        from repro.engine.units import partitioner_fingerprint
 
-        fm = {
-            partitioner_fingerprint(FMPartitioner("bucket", kernel=k))
-            for k in ("auto", "python", "numpy")
-        }
-        la = {
-            partitioner_fingerprint(LAPartitioner(2, kernel=k))
-            for k in ("auto", "python", "numpy")
-        }
-        assert len(fm) == 1
-        assert len(la) == 1
+        assert _fingerprint(FMPartitioner()) == "42a6611011e78041"
+        assert _fingerprint(FMPartitioner("tree")) == "81b593ab9a58f2a1"
+        assert _fingerprint(LAPartitioner(2)) == "c0fa92b6bc25d014"
+        assert _fingerprint(LAPartitioner(3)) == "ca7e1a05169ad0be"
+
+
+def _prop_engine(graph):
+    """The gain engine ``PropGains`` builds for ``graph``."""
+    from repro.core import PropConfig
+    from repro.core.engine import PropGains
+
+    partition = Partition(graph, random_balanced_sides(graph, 0))
+    return PropGains(partition, PropConfig()).engine
 
 
 class TestAutoCutoff:
-    """The instance-size cutoff behind auto-kernel selection.
+    """PROP's one sweep rule: the numpy engine from
+    ``AUTO_SCALAR_CUTOFF_PINS`` pins up, the scalar loop below.
 
     BENCH_kernels.json showed the vectorized backend *losing* on small
-    circuits (balu full_pass 0.92x): below a few thousand pins the numpy
-    call overhead exceeds the work.  ``resolve_kernel`` therefore takes
-    the instance size into account for ``auto`` — and only for ``auto``;
-    explicit requests and ``REPRO_KERNEL`` stay honored at any size.
+    circuits (balu full_pass 0.92x at 1.5.0), so ``PropGains`` takes the
+    instance size into account, and nothing else.
     """
 
-    def test_auto_below_cutoff_prefers_scalar(self, monkeypatch):
-        from repro.kernels import AUTO_SCALAR_CUTOFF_PINS
+    def test_auto_below_cutoff_prefers_scalar(self):
+        graph = random_instance(3)
+        with mock.patch.object(
+            kernels, "AUTO_SCALAR_CUTOFF_PINS", graph.num_pins + 1
+        ):
+            assert type(_prop_engine(graph)) is ProbabilisticGainEngine
+        with mock.patch.object(
+            kernels, "AUTO_SCALAR_CUTOFF_PINS", graph.num_pins
+        ):
+            assert type(_prop_engine(graph)) is NumpyGainEngine
 
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        assert resolve_kernel(
-            "auto", num_pins=AUTO_SCALAR_CUTOFF_PINS - 1
-        ) == "python"
-        assert resolve_kernel(
-            "auto", num_pins=AUTO_SCALAR_CUTOFF_PINS
-        ) == "numpy"
-        # No size information -> preserve the old availability-only rule.
-        assert resolve_kernel("auto") == "numpy"
-
-    def test_balu_sits_below_the_cutoff(self, monkeypatch):
-        """The motivating case: balu (2697 pins) resolves to scalar."""
+    def test_balu_sits_below_the_cutoff(self):
+        """The motivating case: balu (2697 pins) runs the scalar loop."""
         from repro.hypergraph import make_benchmark
-        from repro.kernels import AUTO_SCALAR_CUTOFF_PINS
 
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
         balu = make_benchmark("balu")
-        assert balu.num_pins < AUTO_SCALAR_CUTOFF_PINS
-        assert resolve_kernel("auto", num_pins=balu.num_pins) == "python"
+        assert balu.num_pins < kernels.AUTO_SCALAR_CUTOFF_PINS == 4096
+        assert type(_prop_engine(balu)) is ProbabilisticGainEngine
 
-    def test_explicit_numpy_honored_below_cutoff(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        assert resolve_kernel("numpy", num_pins=10) == "numpy"
-        assert resolve_kernel("subround", num_pins=10) == "subround"
-
-    def test_env_override_honored_below_cutoff(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "numpy")
-        assert resolve_kernel("auto", num_pins=10) == "numpy"
-
-    def test_env_cannot_select_subround(self, monkeypatch):
-        """``REPRO_KERNEL=subround`` must warn and fall through: the
-        sub-round engine changes results, so an ambient variable could
-        poison cached fingerprints if it were honored here."""
-        monkeypatch.setenv("REPRO_KERNEL", "subround")
-        with pytest.warns(RuntimeWarning):
-            assert resolve_kernel("auto") in ("python", "numpy")
-
-    def test_small_auto_run_uses_scalar_end_to_end(self, monkeypatch):
+    def test_small_auto_run_uses_scalar_end_to_end(self):
         from repro.core import PropConfig
         from repro.core.engine import run_prop
-        from repro.partition import BalanceConstraint
 
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
         graph = random_instance(3)  # far below the cutoff
         sides = random_balanced_sides(graph, 3)
         balance = BalanceConstraint.fifty_fifty(graph)
@@ -310,6 +295,53 @@ class TestAutoCutoff:
             graph, sides, balance, PropConfig(kernel="auto"), seed=3
         )
         assert result.stats["kernel_numpy"] == 0.0
+
+    def test_env_var_does_not_steer_prop(self, monkeypatch):
+        from repro.core import PropConfig
+        from repro.core.engine import run_prop
+        from repro.hypergraph import make_benchmark
+
+        monkeypatch.setenv("REPRO_KERNEL", "python")
+        graph = make_benchmark("industry2", scale=0.1)
+        assert graph.num_pins >= kernels.AUTO_SCALAR_CUTOFF_PINS
+        sides = random_balanced_sides(graph, 0)
+        balance = BalanceConstraint.fifty_fifty(graph)
+        result = run_prop(
+            graph, sides, balance, PropConfig(max_passes=1), seed=0
+        )
+        assert result.stats["kernel_numpy"] == 1.0
+
+
+class TestSweepPerEngine:
+    """FM's pass-start sweep is always scalar and LA's always vectorized,
+    on either side of PROP's cutoff (balu at 2697 pins, industry2@0.1 at
+    4840)."""
+
+    @pytest.fixture(
+        scope="class", params=[("balu", 1.0), ("industry2", 0.1)],
+        ids=["balu", "industry2@0.1"],
+    )
+    def circuit(self, request):
+        from repro.hypergraph import make_benchmark
+
+        graph = make_benchmark(*request.param)
+        sides = random_balanced_sides(graph, 0)
+        return graph, sides, BalanceConstraint.fifty_fifty(graph)
+
+    @pytest.mark.parametrize("container", ["bucket", "tree"])
+    def test_fm_builds_no_csr_view(self, circuit, container):
+        from repro.baselines.fm import run_fm
+
+        result = run_fm(*circuit, container=container, max_passes=1)
+        assert result.stats["kernel_numpy"] == 0.0
+        assert "csr_build_seconds" not in result.stats
+
+    def test_la_builds_a_csr_view(self, circuit):
+        from repro.baselines.la import run_la
+
+        result = run_la(*circuit, k=2, max_passes=1)
+        assert result.stats["kernel_numpy"] == 1.0
+        assert result.stats["csr_build_seconds"] > 0.0
 
 
 class TestSubroundFingerprint:
@@ -324,6 +356,7 @@ class TestSubroundFingerprint:
             PropPartitioner(PropConfig(kernel="subround"))
         )
         assert base != sub
+        assert sub[:16] == "07f4b3047af18dce"
 
     def test_subround_worker_count_is_fingerprint_neutral(self):
         """Workers only change *how fast*, never *what* — by the
@@ -366,3 +399,4 @@ class TestSubroundFingerprint:
             FMPartitioner("bucket", kernel="subround")
         )
         assert base != sub
+        assert sub[:16] == "f17b69cc96866e0a"

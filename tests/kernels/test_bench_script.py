@@ -43,3 +43,33 @@ def test_committed_baseline_is_valid():
     assert large["num_pins"] == 48404
     assert large["speedup"]["all_gains"] >= 3.0
     assert not report["smoke"], "baseline must come from a full run"
+
+
+def test_prop_sweep_forces_each_backend():
+    """Each ``full_pass`` row and the sub-round baseline time the sweep
+    they name at any size: PROP picks its own by instance size, so the
+    script moves the cutoff, and puts it back."""
+    import importlib.util
+
+    import repro.kernels as kernels
+    from repro.core import PropConfig
+    from repro.core.engine import run_prop
+    from repro.hypergraph import make_benchmark
+    from repro.partition import BalanceConstraint, random_balanced_sides
+
+    spec = importlib.util.spec_from_file_location("perf_bench", SCRIPT)
+    perf_bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(perf_bench)
+
+    cutoff = kernels.AUTO_SCALAR_CUTOFF_PINS
+    graph = make_benchmark("industry2", scale=0.1)  # 4840 pins
+    sides = random_balanced_sides(graph, perf_bench.SEED)
+    balance = BalanceConstraint.fifty_fifty(graph)
+    config = PropConfig(max_passes=1)
+    numpy_runs = {}
+    for backend in perf_bench.BACKENDS:
+        with perf_bench.prop_sweep(backend):
+            result = run_prop(graph, sides, balance, config, seed=0)
+        numpy_runs[backend] = result.stats["kernel_numpy"]
+        assert kernels.AUTO_SCALAR_CUTOFF_PINS == cutoff
+    assert numpy_runs == {"python": 0.0, "numpy": 1.0}

@@ -1,20 +1,24 @@
-"""End-to-end backend differential suite: same moves, same cuts.
+"""End-to-end sweep differential suite: same moves, same cuts.
 
-The kernels layer promises that switching ``kernel="python"`` for
-``kernel="numpy"`` changes *nothing observable* — not just the final cut
-but the entire move sequence, the per-pass best prefixes, and every stat
-that isn't a timing.  These tests run the real partitioners twice and
-compare everything, over hypothesis-generated instances, the seeded grid,
-and the golden corpus (the latter under a full invariant audit).
+PROP's pass-start sweeps run on the scalar loop below
+``AUTO_SCALAR_CUTOFF_PINS`` pins and on the numpy engine from there up,
+and the kernels layer promises that the two change *nothing observable*
+— not just the final cut but the entire move sequence, the per-pass best
+prefixes, and every stat that isn't a timing.  These tests run PROP
+twice, forcing each sweep by moving the cutoff, and compare everything,
+over hypothesis-generated instances, the seeded grid, and the golden
+corpus (the latter under a full invariant audit).
 """
+
+import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.kernels as kernels
 from repro.audit import AuditConfig
-from repro.baselines.fm import run_fm
-from repro.baselines.la import run_la
 from repro.core import PropConfig
 from repro.core.engine import run_prop
 from repro.hypergraph import make_benchmark
@@ -36,12 +40,18 @@ def _moves(rec):
     ]
 
 
+def _sweep(kernel):
+    """Force PROP's pass-start sweep: ``"python"`` or ``"numpy"``."""
+    cutoff = sys.maxsize if kernel == "python" else 0
+    return mock.patch.object(kernels, "AUTO_SCALAR_CUTOFF_PINS", cutoff)
+
+
 def _prop_once(graph, sides, balance, kernel, **config_kwargs):
     rec = MemoryRecorder()
-    result = run_prop(
-        graph, sides, balance, PropConfig(kernel=kernel, **config_kwargs),
-        recorder=rec,
-    )
+    with _sweep(kernel):
+        result = run_prop(
+            graph, sides, balance, PropConfig(**config_kwargs), recorder=rec,
+        )
     return _moves(rec), result
 
 
@@ -99,37 +109,6 @@ def test_prop_backends_identical_config_matrix(
     )
 
 
-@pytest.mark.parametrize("container", ["bucket", "tree"])
-def test_fm_backends_identical(container):
-    graph = make_benchmark("t6", scale=0.08)
-    sides = random_balanced_sides(graph, 5)
-    balance = BalanceConstraint.fifty_fifty(graph)
-    results = {}
-    for kernel in ("python", "numpy"):
-        rec = MemoryRecorder()
-        r = run_fm(
-            graph, sides, balance, container=container, kernel=kernel,
-            recorder=rec,
-        )
-        results[kernel] = (_moves(rec), r.cut, r.sides, r.pass_cuts)
-    assert results["python"] == results["numpy"]
-
-
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_la_backends_identical(k):
-    graph = make_benchmark("t6", scale=0.08)
-    sides = random_balanced_sides(graph, 5)
-    balance = BalanceConstraint.fifty_fifty(graph)
-    results = {}
-    for kernel in ("python", "numpy"):
-        rec = MemoryRecorder()
-        r = run_la(
-            graph, sides, balance, k=k, kernel=kernel, recorder=rec,
-        )
-        results[kernel] = (_moves(rec), r.cut, r.sides, r.pass_cuts)
-    assert results["python"] == results["numpy"]
-
-
 class TestGoldenCorpusBackends:
     """Both backends reproduce the corpus circuits' cuts — audited.
 
@@ -147,10 +126,11 @@ class TestGoldenCorpusBackends:
         results = {}
         for kernel in ("python", "numpy"):
             rec = MemoryRecorder()
-            r = run_prop(
-                graph, sides, balance, PropConfig(kernel=kernel),
-                recorder=rec, audit=AuditConfig(every=7),
-            )
+            with _sweep(kernel):
+                r = run_prop(
+                    graph, sides, balance, PropConfig(),
+                    recorder=rec, audit=AuditConfig(every=7),
+                )
             assert r.stats["audited"] == 1.0
             assert r.stats["audit_checks"] > 0
             results[kernel] = (_moves(rec), r.cut, r.sides)
@@ -161,6 +141,7 @@ def test_python_stats_omit_csr_fields():
     graph = random_instance(17, max_nodes=30)
     sides = random_balanced_sides(graph, 1)
     balance = BalanceConstraint.fifty_fifty(graph)
-    r = run_prop(graph, sides, balance, PropConfig(kernel="python"))
+    with _sweep("python"):
+        r = run_prop(graph, sides, balance, PropConfig())
     assert r.stats["kernel_numpy"] == 0.0
     assert "csr_build_seconds" not in r.stats

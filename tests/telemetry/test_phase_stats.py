@@ -100,7 +100,7 @@ class TestPhaseStats:
                     "rollback_seconds"):
             assert key in result.stats
 
-    @pytest.mark.parametrize("kernel", ["python", "numpy", "subround"])
+    @pytest.mark.parametrize("kernel", ["auto", "subround"])
     @pytest.mark.parametrize("container", ["bucket", "tree"])
     def test_fm_reports_no_prop_phases(self, kernel, container, graph):
         # bootstrap/refine are PROP-only (Fig. 2 steps 3-4); FM's Eqn-1

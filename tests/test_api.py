@@ -9,7 +9,7 @@ import repro
 
 class TestPublicApi:
     def test_version(self):
-        assert repro.__version__ == "1.16.0"
+        assert repro.__version__ == "1.17.0"
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:
