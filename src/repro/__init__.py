@@ -85,7 +85,7 @@ from .telemetry import (
 
 #: Participates in every engine cache key: bumping it invalidates the
 #: on-disk result cache (see repro.engine.cache).
-__version__ = "1.17.0"
+__version__ = "1.18.0"
 
 from .engine import Engine, EngineConfig, WorkUnit  # noqa: E402 - engine cache keys need __version__ defined first
 from .faults import FaultPlan, FaultSpec, injected_faults  # noqa: E402

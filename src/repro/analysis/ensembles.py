@@ -24,7 +24,7 @@ a stopping rule:
 Determinism contract: every decision is a pure function of the cut
 prefix in seed order (wall-clock enters only through the optional
 ``max_seconds`` budget, documented best-effort).  Same instance + budget
-+ seed => identical stop decision and identical incumbent, sequential or
++ seed => identical stop decision and identical incumbent, in-process or
 pooled, fresh or resumed — enforced by ``tests/analysis/test_ensembles``.
 """
 
@@ -406,7 +406,6 @@ def ensemble_solve(
     balance: Optional["BalanceConstraint"] = None,
     base_seed: int = 0,
     circuit_name: str = "",
-    parallel: bool = False,
     engine: Optional["Engine"] = None,
     run_id: Optional[str] = None,
     resume: bool = False,
@@ -417,8 +416,8 @@ def ensemble_solve(
     Drives :func:`repro.multirun.run_many` with ``runs = policy.budget``
     and the policy attached; the policy decides after every completed
     run (in seed order) whether the remaining budget is still worth
-    spending.  Engine-path batches additionally shed unscheduled runs
-    the moment the streaming prefix says stop.
+    spending, and the engine sheds unscheduled runs the moment the
+    streaming prefix says stop.
 
     ``recorder`` (when enabled) receives ensemble telemetry counters —
     ``ensemble_runs_used``, ``ensemble_runs_saved`` and one
@@ -437,7 +436,6 @@ def ensemble_solve(
         balance=balance,
         base_seed=base_seed,
         circuit_name=circuit_name,
-        parallel=parallel,
         engine=engine,
         run_id=run_id,
         resume=resume,

@@ -18,10 +18,6 @@ Fan 40 runs across 4 worker processes with result caching::
 
     prop-partition mydesign.hgr -a prop --runs 40 --workers 4
 
-Benchmark the engine itself (``bench`` subcommand)::
-
-    python -m repro bench --workers 2 --runs 4
-
 Resume an interrupted sweep, verify or clear the result cache::
 
     prop-partition mydesign.hgr -a prop --runs 100 --workers 8 --resume myrun
@@ -57,7 +53,7 @@ import json
 import os
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .baselines import (
     Eig1Partitioner,
@@ -245,7 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="record a JSONL telemetry trace of every run to PATH "
-        "(sequential runs only; summarize with 'trace summarize PATH'). "
+        "(runs without engine flags only; summarize with 'trace "
+        "summarize PATH'). "
         "Tracing never changes moves or cuts",
     )
     _add_engine_flags(parser)
@@ -335,7 +332,7 @@ def _audit_from_args(args):
 
 
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
-    """Execution-engine knobs shared by the partition and bench modes."""
+    """Execution-engine knobs shared by the partition mode and ``ensemble``."""
     group = parser.add_argument_group("execution engine")
     group.add_argument(
         "--workers",
@@ -343,7 +340,8 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="N",
         help="fan runs across N worker processes (0/1 = in-process; "
-        "default: sequential, or REPRO_ENGINE_WORKERS when set)",
+        "default: in-process without engine flags, else "
+        "REPRO_ENGINE_WORKERS or the CPU count)",
     )
     group.add_argument(
         "--cache-dir",
@@ -400,7 +398,7 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
 
 def _engine_from_args(args) -> Optional["object"]:
     """Build an Engine when any engine flag was used, else None
-    (None keeps the plain sequential code path for tiny runs)."""
+    (None runs each batch in-process, uncached and unjournalled)."""
     if (
         args.workers is None
         and args.cache_dir is None
@@ -438,12 +436,29 @@ def _run_id_from_args(args) -> "tuple[Optional[str], bool]":
     return f"{time.strftime('%Y%m%d-%H%M%S')}-{os.getpid()}", False
 
 
+def _load_graph(
+    parser: argparse.ArgumentParser, args
+) -> Tuple[Hypergraph, str]:
+    """The netlist named by ``args`` and a label for its source.
+
+    A missing, unreadable or malformed file is a usage error (exit 2),
+    not a traceback.
+    """
+    if args.generate:
+        graph = make_benchmark(args.generate, scale=args.scale)
+        return graph, f"generated:{args.generate}@{args.scale}"
+    if not args.netlist:
+        parser.error("provide a netlist file or --generate NAME")
+    try:
+        return netlist_io.read(args.netlist), args.netlist
+    except (OSError, ValueError) as exc:
+        parser.error(f"cannot read netlist {args.netlist!r}: {exc}")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "bench":
-        return _run_bench_mode(argv[1:])
     if argv and argv[0] == "cache":
         return _run_cache_mode(argv[1:])
     if argv and argv[0] == "trace":
@@ -457,15 +472,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    if args.generate:
-        graph = make_benchmark(args.generate, scale=args.scale)
-        source = f"generated:{args.generate}@{args.scale}"
-    elif args.netlist:
-        graph = netlist_io.read(args.netlist)
-        source = args.netlist
-    else:
-        parser.error("provide a netlist file or --generate NAME")
-        return 2  # unreachable; parser.error raises
+    graph, source = _load_graph(parser, args)
 
     stats = compute_stats(graph)
     print(
@@ -1185,15 +1192,7 @@ def _run_ensemble_fit(args) -> int:
 def _run_ensemble_solve(parser: argparse.ArgumentParser, args) -> int:
     from .analysis import RestartPolicy, ensemble_solve
 
-    if args.generate:
-        graph = make_benchmark(args.generate, scale=args.scale)
-        source = f"generated:{args.generate}@{args.scale}"
-    elif args.netlist:
-        graph = netlist_io.read(args.netlist)
-        source = args.netlist
-    else:
-        parser.error("provide a netlist file or --generate NAME")
-        return 2  # unreachable; parser.error raises
+    graph, source = _load_graph(parser, args)
 
     algorithm = args.algorithm
     if algorithm is None and args.model is not None:
@@ -1242,131 +1241,6 @@ def _run_ensemble_solve(parser: argparse.ArgumentParser, args) -> int:
             f"--resume {run_id}"
         )
         return 130
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# bench subcommand
-# ---------------------------------------------------------------------------
-def _build_bench_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="prop-partition bench",
-        description="exercise the execution engine on a synthetic "
-        "circuit × algorithm × seed grid and report throughput",
-    )
-    parser.add_argument(
-        "--circuits",
-        default="t6",
-        help=f"comma-separated Table-1 circuit names (default t6; "
-        f"choices: {', '.join(BENCHMARK_NAMES)})",
-    )
-    parser.add_argument(
-        "--scale", type=float, default=0.06,
-        help="circuit down-scale factor (default 0.06: quick smoke)",
-    )
-    parser.add_argument(
-        "-a", "--algorithm", nargs="+", default=["fm", "prop"],
-        help="algorithms to bench (default: fm prop)",
-    )
-    parser.add_argument(
-        "--runs", type=int, default=4,
-        help="runs per (circuit, algorithm) cell (default 4)",
-    )
-    parser.add_argument("--balance", default="50-50", help="balance criterion")
-    parser.add_argument("--seed", type=int, default=0, help="base seed")
-    parser.add_argument(
-        "--kernel",
-        choices=KERNELS,
-        default="auto",
-        help="pass engine for PROP/FM (default auto; see prop-partition "
-        "--help)",
-    )
-    parser.add_argument(
-        "--subround-workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="shared-memory workers for --kernel subround (default 0)",
-    )
-    _add_engine_flags(parser)
-    return parser
-
-
-def _run_bench_mode(argv: List[str]) -> int:
-    """``prop-partition bench`` — grid fan-out through the engine."""
-    import time
-
-    from .engine import Engine, EngineConfig, WorkUnit, seed_stream
-    from .multirun import effective_runs
-
-    parser = _build_bench_parser()
-    args = parser.parse_args(argv)
-    names = [n.strip() for n in args.circuits.split(",") if n.strip()]
-    for name in names:
-        if name not in BENCHMARK_NAMES:
-            parser.error(f"unknown circuit {name!r}")
-
-    engine = Engine(
-        EngineConfig(
-            workers=args.workers,
-            cache_dir=args.cache_dir,
-            use_cache=not args.no_cache,
-            timeout=args.timeout,
-            on_error="collect" if args.keep_going else "raise",
-        )
-    )
-    run_id, resume = _run_id_from_args(args)
-    audit = _audit_from_args(args)
-    circuits = {n: make_benchmark(n, scale=args.scale) for n in names}
-
-    units: List[WorkUnit] = []
-    cells: List[Dict[str, object]] = []
-    for circuit_name, graph in circuits.items():
-        balance = _make_balance(graph, args.balance)
-        for algo_name in args.algorithm:
-            partitioner = _make_partitioner(
-                algo_name, args.kernel, getattr(args, "subround_workers", 0)
-            )
-            runs = effective_runs(partitioner, args.runs)
-            cells.append({"circuit": circuit_name, "partitioner": partitioner,
-                          "runs": runs})
-            for seed in seed_stream(args.seed, runs):
-                units.append(
-                    WorkUnit(graph=graph, partitioner=partitioner, seed=seed,
-                             balance=balance, tag=circuit_name, audit=audit)
-                )
-
-    start = time.perf_counter()
-    outcomes = engine.run(units, run_id=run_id, resume=resume)
-    elapsed = time.perf_counter() - start
-    if engine.interrupted:
-        print(f"interrupted — resume with --resume {run_id}")
-        print(_engine_summary(engine))
-        return 130
-
-    cursor = 0
-    for cell in cells:
-        runs = cell["runs"]
-        group = outcomes[cursor:cursor + runs]
-        cursor += runs
-        cuts = [u.result.cut for u in group if u.ok]
-        if not cuts:
-            print(f"{cell['circuit']:>8s}: no completed runs")
-            continue
-        compute = sum(u.seconds for u in group)
-        tag = getattr(cell["partitioner"], "name", "?")
-        print(
-            f"{cell['circuit']:>8s} {tag:>10s}: best {min(cuts):g} "
-            f"mean {sum(cuts) / len(cuts):.1f} over {runs} run(s), "
-            f"{compute:.2f}s compute"
-        )
-    total_compute = sum(u.seconds for u in outcomes)
-    speedup = total_compute / elapsed if elapsed > 0 else 1.0
-    print(
-        f"{len(units)} unit(s) in {elapsed:.2f}s wall "
-        f"({total_compute:.2f}s compute, {speedup:.1f}x)"
-    )
-    print(_engine_summary(engine))
     return 0
 
 

@@ -6,7 +6,7 @@ parallel: each run is an independent, independently-seeded
 :class:`WorkUnit`.  This package schedules those units onto a process
 pool, memoizes finished runs in a content-addressed on-disk cache, and
 degrades gracefully to in-process execution when a pool is unavailable —
-while guaranteeing bit-identical results to the sequential harness.
+while guaranteeing bit-identical results whatever the worker count.
 
 Robustness (see ``docs/robustness.md``): transient failures retry with
 deterministic backoff, permanent ones can be collected per unit instead
@@ -24,11 +24,11 @@ Quick start::
     units = [WorkUnit(graph, PropPartitioner(), seed=s) for s in range(20)]
     best = min(engine.run(units), key=lambda r: r.result.cut)
 
-Higher layers rarely touch units directly: ``run_many(..., engine=engine)``
-(or ``parallel=True``), ``run_table2(..., engine=engine)`` and
-``sweep_prop_config(..., engine=engine)`` fan their grids through an
-engine for you.  See ``docs/engine.md`` for architecture, cache layout,
-and determinism guarantees.
+Higher layers rarely touch units directly: ``run_many``, ``run_table2``
+and ``sweep_prop_config`` submit their grids as one batch through
+:func:`repro.multirun.run_cells` — to the ``engine=`` you pass, else to
+an in-process, uncached one.  See ``docs/engine.md`` for architecture,
+cache layout, and determinism guarantees.
 """
 
 from .cache import (

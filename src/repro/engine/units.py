@@ -34,10 +34,10 @@ from ..partition import BalanceConstraint
 def seed_stream(base_seed: int, runs: int) -> List[int]:
     """The canonical seed sequence ``base_seed .. base_seed + runs - 1``.
 
-    Both the sequential harness (:func:`repro.multirun.run_many`) and the
-    engine derive their seeds from this one function, which is what makes
-    parallel and sequential execution bit-identical: the i-th run sees the
-    same seed either way, and results are folded back in unit order.
+    Every best-of-N batch (:func:`repro.multirun.run_cells`) derives its
+    seeds from this one function, which is what makes pooled and
+    in-process execution bit-identical: the i-th run sees the same seed
+    either way, and results are folded back in unit order.
     """
     if runs < 0:
         raise ValueError(f"runs must be >= 0, got {runs}")

@@ -15,8 +15,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, 
 
 from ..core import PropConfig, PropPartitioner
 from ..hypergraph import Hypergraph
-from ..multirun import run_many
-from ..telemetry import collect_phase_seconds
+from ..multirun import Cell, run_cells
 from ..partition import BalanceConstraint
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -101,15 +100,15 @@ def sweep_prop_config(
     validation errors at sweep-construction time (fail fast, before any
     compute is spent).
 
-    With ``engine`` given, the whole (config point × seed) grid runs as
-    one engine batch — every worker stays busy across point boundaries,
-    and the engine's cache memoizes repeated points across sweeps.  The
-    measured cuts are bit-identical to the sequential path.
+    The whole (config point × seed) grid runs as one batch
+    (:func:`repro.multirun.run_cells`); with ``engine`` given every worker
+    stays busy across point boundaries, and the engine's cache memoizes
+    repeated points across sweeps.  The measured cuts are bit-identical
+    either way.  Under an error-collecting engine each point folds its
+    surviving runs; a point whose runs all failed raises ``ValueError``.
     """
     if not grid:
         raise ValueError("empty sweep grid")
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
     if base_config is None:
         base_config = PropConfig()
     if engine is None:
@@ -124,23 +123,14 @@ def sweep_prop_config(
         base_config.with_overrides(**dict(zip(keys, combo)))
         for combo in combos
     ]
+    cells = [
+        Cell(PropPartitioner(config), graph, runs, balance, base_seed,
+             circuit_name, tag=f"{circuit_name}#{point}")
+        for point, config in enumerate(configs)
+    ]
 
     result = SweepResult(circuit=circuit_name, runs_per_point=runs)
-    if engine is not None:
-        _sweep_with_engine(
-            result, graph, keys, combos, configs, runs, balance, base_seed,
-            circuit_name, engine,
-        )
-        return result
-    for combo, config in zip(combos, configs):
-        outcome = run_many(
-            PropPartitioner(config),
-            graph,
-            runs=runs,
-            balance=balance,
-            base_seed=base_seed,
-            circuit_name=circuit_name,
-        )
+    for combo, outcome in zip(combos, run_cells(cells, engine)):
         result.points.append(
             SweepPoint(
                 overrides=tuple(zip(keys, combo)),
@@ -151,49 +141,3 @@ def sweep_prop_config(
             )
         )
     return result
-
-
-def _sweep_with_engine(
-    result: SweepResult,
-    graph: Hypergraph,
-    keys: List[str],
-    combos: List[Tuple[Any, ...]],
-    configs: List[PropConfig],
-    runs: int,
-    balance: Optional[BalanceConstraint],
-    base_seed: int,
-    circuit_name: str,
-    engine: "Engine",
-) -> None:
-    """Fan the (config point × seed) grid through one engine batch."""
-    from ..engine import WorkUnit, seed_stream
-
-    seeds = seed_stream(base_seed, runs)
-    units = [
-        WorkUnit(
-            graph=graph,
-            partitioner=PropPartitioner(config),
-            seed=seed,
-            balance=balance,
-            tag=f"{circuit_name}#{point}",
-        )
-        for point, config in enumerate(configs)
-        for seed in seeds
-    ]
-    outcomes = engine.run(units)
-    for point, combo in enumerate(combos):
-        cell = outcomes[point * runs:(point + 1) * runs]
-        cuts = [u.result.cut for u in cell]
-        phases: Dict[str, float] = {}
-        for u in cell:
-            for key, value in collect_phase_seconds(u.result.stats).items():
-                phases[key] = phases.get(key, 0.0) + value
-        result.points.append(
-            SweepPoint(
-                overrides=tuple(zip(keys, combo)),
-                best_cut=min(cuts),
-                mean_cut=sum(cuts) / len(cuts),
-                seconds_per_run=sum(u.seconds for u in cell) / len(cell),
-                phase_seconds=tuple(sorted(phases.items())),
-            )
-        )

@@ -16,7 +16,6 @@ statistics; relative algorithm behaviour is preserved (see DESIGN.md).
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -38,7 +37,7 @@ from ..hypergraph import (
     compute_stats,
     make_benchmark,
 )
-from ..multirun import MultiRunResult, Partitioner, run_many
+from ..multirun import Cell, MultiRunResult, Partitioner, run_cells
 from ..partition import BalanceConstraint, improvement_percent
 
 #: Default circuit subset for quick benches: the small/medium circuits plus
@@ -71,7 +70,8 @@ def engine_from_env() -> Optional["Engine"]:
 
     This is what lets ``REPRO_ENGINE_WORKERS=8 pytest benchmarks/`` fan
     the table regenerations across workers without touching any call
-    site; unset, the runners keep the plain sequential path.
+    site; unset, the runners batch in-process and uncached
+    (:func:`repro.multirun.run_cells`).
     """
     if not os.environ.get("REPRO_ENGINE_WORKERS", "").strip():
         return None
@@ -199,100 +199,30 @@ def _run_comparison(
     base_seed: int = 0,
     engine: Optional["Engine"] = None,
 ) -> ComparisonTable:
+    """Run the whole (circuit × algorithm × seed) grid as one batch.
+
+    Each (circuit, label) cell is one :class:`~repro.multirun.Cell` of
+    :func:`~repro.multirun.run_cells`, so the table is bit-identical
+    whatever engine runs it.
+    """
     table = ComparisonTable(
         title=title,
         algorithms=[label for label, _, _ in algorithms],
         reference=reference,
     )
-    if engine is not None:
-        _run_comparison_engine(
-            table, algorithms, circuits, balance_factory, base_seed, engine
-        )
-        return table
+    positions: List[Tuple[str, str]] = []
+    cells: List[Cell] = []
     for circuit_name, graph in circuits.items():
         balance = balance_factory(graph)
         for label, partitioner, runs in algorithms:
-            result = run_many(
-                partitioner,
-                graph,
-                runs=runs,
-                balance=balance,
-                base_seed=base_seed,
-                circuit_name=circuit_name,
-            )
-            table.add_as(circuit_name, label, result)
-    return table
-
-
-def _run_comparison_engine(
-    table: ComparisonTable,
-    algorithms: Sequence[Tuple[str, Partitioner, int]],
-    circuits: Dict[str, Hypergraph],
-    balance_factory: Callable[[Hypergraph], BalanceConstraint],
-    base_seed: int,
-    engine: "Engine",
-) -> None:
-    """Fan the whole (circuit × algorithm × seed) grid through one engine
-    batch, then fold the unit results back into per-cell MultiRunResults.
-
-    One batch (rather than one ``engine.run`` per cell) keeps every
-    worker busy across cell boundaries: a slow PROP cell no longer
-    serializes behind a fleet of fast FM runs.  Folding is by (circuit,
-    label) in seed order, so the table is bit-identical to the
-    sequential path.
-    """
-    from ..engine import WorkUnit, seed_stream
-    from ..multirun import effective_runs
-
-    units = []
-    cells: List[Tuple[str, str, Partitioner, Hypergraph,
-                      BalanceConstraint, int]] = []
-    for circuit_name, graph in circuits.items():
-        balance = balance_factory(graph)
-        for label, partitioner, runs in algorithms:
-            runs = effective_runs(partitioner, runs)
-            cells.append(
-                (circuit_name, label, partitioner, graph, balance, runs)
-            )
-            for seed in seed_stream(base_seed, runs):
-                units.append(
-                    WorkUnit(
-                        graph=graph,
-                        partitioner=partitioner,
-                        seed=seed,
-                        balance=balance,
-                        tag=f"{circuit_name}/{label}",
-                    )
-                )
-
-    start = time.perf_counter()
-    outcomes = engine.run(units)
-    batch_seconds = time.perf_counter() - start
-
-    cursor = 0
-    for circuit_name, label, partitioner, graph, balance, runs in cells:
-        cell = outcomes[cursor:cursor + runs]
-        cursor += runs
-        result = MultiRunResult(
-            algorithm=getattr(partitioner, "name", type(partitioner).__name__),
-            circuit=circuit_name,
-            runs=runs,
-            partitioner=partitioner,
-            graph=graph,
-            balance=balance,
-        )
-        for unit_result in cell:
-            result.seeds.append(unit_result.unit.seed)
-            result.cuts.append(unit_result.result.cut)
-            result.run_seconds.append(unit_result.seconds)
-            if result.best is None or unit_result.result.cut < result.best.cut:
-                result.best = unit_result.result
-        # Attribute the batch wall clock proportionally to compute time,
-        # so per-cell totals still sum to the observed wall clock.
-        cell_compute = sum(u.seconds for u in cell)
-        total_compute = sum(u.seconds for u in outcomes) or 1.0
-        result.total_seconds = batch_seconds * (cell_compute / total_compute)
+            positions.append((circuit_name, label))
+            cells.append(Cell(partitioner, graph, runs, balance, base_seed,
+                              circuit_name, tag=f"{circuit_name}/{label}"))
+    for (circuit_name, label), result in zip(
+        positions, run_cells(cells, engine)
+    ):
         table.add_as(circuit_name, label, result)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +253,9 @@ def run_table2(
 ) -> ComparisonTable:
     """Regenerate Table 2 (50-50%% cutsets) at the given or env-configured scale.
 
-    With ``engine`` given, the whole (circuit × algorithm × seed) grid is
-    fanned through it — parallel across workers, memoized by its cache —
-    with a bit-identical table either way.
+    The whole (circuit × algorithm × seed) grid runs as one batch; with
+    ``engine`` given it fans across that engine's workers and is memoized
+    by its cache, with a bit-identical table either way.
     """
     env_scale, env_runs, env_names = bench_scale_from_env()
     scale = env_scale if scale is None else scale

@@ -2,23 +2,26 @@
 
 Every table entry of the paper is "best cut over N runs from random initial
 partitions": FM20/FM40/FM100, LA-2 with 20 or 40 runs, LA-3 with 20, PROP
-with 20.  :func:`run_many` reproduces that protocol for any partitioner
-object exposing ``partition(graph, balance=..., seed=...)`` and a ``name``.
+with 20.  A :class:`Cell` is one such entry, for any partitioner object
+exposing ``partition(graph, balance=..., seed=...)`` and a ``name``.
+:func:`run_cells` runs any number of cells as one
+:class:`repro.engine.Engine` batch and folds each cell's runs back, in seed
+order, into a :class:`MultiRunResult`; :func:`run_many` is the one-cell
+case.  The paper's tables and the config sweeps submit their whole grid
+this way.
 
 Seeds are ``base_seed, base_seed+1, ...`` so any individual run can be
-replayed in isolation (:meth:`MultiRunResult.replay`).  The runs are
-independent, so ``run_many(..., parallel=True)`` — or passing an explicit
-:class:`repro.engine.Engine` — fans them across a process pool with
-bit-identical results (see ``docs/engine.md``); the sequential loop
-remains the default code path, which is the right choice for tiny runs
-where pool startup would dominate.
+replayed in isolation (:meth:`MultiRunResult.replay`).  Without an explicit
+engine the batch runs in-process and uncached; an engine with workers fans
+it across a process pool with bit-identical results (see
+``docs/engine.md``).
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Sequence
 
 from ..hypergraph import Hypergraph
@@ -28,7 +31,7 @@ from ..telemetry import collect_phase_seconds
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine uses us)
     from ..analysis.ensembles import RestartPolicy
     from ..audit import AuditConfig
-    from ..engine import Engine
+    from ..engine import Engine, UnitResult
     from ..telemetry import Recorder
 
 
@@ -53,10 +56,11 @@ class MultiRunResult:
     """Aggregate of N runs of one algorithm on one circuit.
 
     ``seeds[i]``, ``cuts[i]`` and ``run_seconds[i]`` describe run ``i``;
-    ``total_seconds`` is the harness wall clock for the whole batch
-    (including scheduling overhead), while ``run_seconds`` times only the
-    partitioning calls themselves — so ``seconds_per_run`` is no longer
-    skewed by harness overhead.  The source ``partitioner``/``graph``/
+    ``total_seconds`` is the cell's share of the batch wall clock
+    (including scheduling overhead; split across the cells of one batch
+    in proportion to their compute), while ``run_seconds`` times only the
+    partitioning calls themselves — so ``seconds_per_run`` is not skewed
+    by harness overhead.  The source ``partitioner``/``graph``/
     ``balance`` are retained (when known) so :meth:`replay` can re-run a
     single seed for debugging or cache-key verification.
 
@@ -116,28 +120,17 @@ class MultiRunResult:
         """Runs that ran to completion, successfully or not.
 
         Successful runs contribute a cut; failed runs (error-collecting
-        engine) contribute an ``errors`` entry.  Both consumed wall
-        clock, so this is the denominator for timing fallbacks.
+        engine) contribute an ``errors`` entry.  Both spent a run of the
+        budget.
         """
         return len(self.cuts) + len(self.errors)
 
     @property
     def seconds_per_run(self) -> float:
-        """Mean seconds of one partitioning run.
-
-        Prefers the per-run timings (pure partitioner compute); falls
-        back to ``total_seconds / completed_attempts`` for results built
-        before per-run timing existed (e.g. deserialized records).  The
-        fallback divides by *all* completed attempts — ``total_seconds``
-        includes the time spent in failed, error-collected runs, so
-        dividing by successful runs alone would overstate per-run cost
-        exactly when the engine collected errors.
-        """
-        if not self.cuts:
+        """Mean seconds of one successful partitioning run (pure compute)."""
+        if not self.run_seconds:
             raise ValueError("no runs recorded")
-        if self.run_seconds:
-            return sum(self.run_seconds) / len(self.run_seconds)
-        return self.total_seconds / self.completed_attempts
+        return sum(self.run_seconds) / len(self.run_seconds)
 
     def replay(self, i: int) -> BipartitionResult:
         """Re-run run ``i`` (same seed, graph, balance) in isolation.
@@ -180,6 +173,36 @@ def effective_runs(partitioner: Partitioner, runs: int) -> int:
     return runs
 
 
+@dataclass(frozen=True)
+class Cell:
+    """``runs`` seeded runs of one partitioner on one graph (seeds
+    ``base_seed, base_seed+1, ...``); ``tag`` labels the work units."""
+
+    partitioner: Partitioner
+    graph: Hypergraph
+    runs: int
+    balance: Optional[BalanceConstraint] = None
+    base_seed: int = 0
+    circuit_name: str = ""
+    tag: str = ""
+
+
+def run_cells(
+    cells: Sequence[Cell], engine: Optional["Engine"] = None
+) -> List[MultiRunResult]:
+    """Run every cell as one engine batch; one result per cell, in order.
+
+    One batch keeps every worker busy across cell boundaries.  Without
+    ``engine`` it runs in-process and uncached.  The results are
+    bit-identical whatever executes them (see :func:`run_many`).
+    """
+    clamped = []
+    for cell in cells:  # a loop keeps effective_runs' warning stacklevel
+        runs = effective_runs(cell.partitioner, cell.runs)
+        clamped.append(replace(cell, runs=runs))
+    return _run_batch(clamped, engine)
+
+
 def run_many(
     partitioner: Partitioner,
     graph: Hypergraph,
@@ -187,7 +210,6 @@ def run_many(
     balance: Optional[BalanceConstraint] = None,
     base_seed: int = 0,
     circuit_name: str = "",
-    parallel: bool = False,
     engine: Optional["Engine"] = None,
     audit: Optional["AuditConfig"] = None,
     run_id: Optional[str] = None,
@@ -197,11 +219,12 @@ def run_many(
 ) -> MultiRunResult:
     """Run ``partitioner`` ``runs`` times with seeds base_seed..base_seed+runs-1.
 
-    ``parallel=True`` fans the runs across a process pool via an
-    ephemeral :class:`repro.engine.Engine` (caching disabled — pass an
-    explicit ``engine`` to control workers, cache and fault handling).
-    Either way the cuts are bit-identical to the sequential path: the
-    same seed stream is used and results are folded in seed order.
+    The runs are one :class:`Cell` of an engine batch (:func:`run_cells`).
+    Without ``engine`` the batch runs in-process and uncached; pass an
+    explicit :class:`repro.engine.Engine` to fan it across workers or to
+    control cache and fault handling.  Either way the cuts are
+    bit-identical: the same seed stream is used and results are folded
+    in seed order.
 
     ``audit`` attaches the invariant auditor of :mod:`repro.audit` to
     every run (partitioners without audit support get a warning and run
@@ -209,7 +232,8 @@ def run_many(
     raises :class:`repro.audit.InvariantViolation` out of the batch.
 
     ``run_id`` journals the batch under ``<cache_dir>/runs/<run_id>.jsonl``
-    (engine path only); ``resume=True`` serves units already recorded in
+    (without an engine, ``cache_dir`` is ``REPRO_ENGINE_CACHE`` or
+    ``.repro_cache/``); ``resume=True`` serves units already recorded in
     that journal without recomputing them — the crash/interrupt recovery
     path (see ``docs/robustness.md``).  Runs that failed permanently
     under an error-collecting engine are folded into ``result.errors``
@@ -220,9 +244,9 @@ def run_many(
     ``runs > 1``.
 
     ``recorder`` attaches a :class:`repro.telemetry.Recorder` to every
-    run — sequential path only, since recorders are not picklable
-    (engine-path runs persist their phase timings through the result
-    stats instead; a warning is issued and the recorder dropped).
+    run of the in-process batch.  Recorders are not picklable, so with
+    an explicit engine a warning is issued and the recorder dropped
+    (phase timings still persist through the result stats).
     Partitioners without telemetry support likewise warn and run
     unrecorded.  Either way :attr:`MultiRunResult.phase_seconds`
     aggregates per-phase timings across the batch.
@@ -233,13 +257,13 @@ def run_many(
     :class:`repro.analysis.ensembles.RestartPolicy`).  The policy is
     consulted after every successful run on the cut prefix *in seed
     order*; when it says stop, no further runs are folded and
-    :attr:`MultiRunResult.stop_reason` records why.  On the engine path
-    the policy doubles as the engine's streaming ``stop_check`` (so
-    unscheduled runs are actually shed), but the returned cuts are
-    re-folded seed-by-seed with the policy re-evaluated on each prefix —
-    pool stragglers that completed past the stopping point are
-    discarded, making the incumbent and the stop decision bit-identical
-    across worker counts, cache states and ``resume``.
+    :attr:`MultiRunResult.stop_reason` records why.  The policy doubles
+    as the engine's streaming ``stop_check`` (so unscheduled runs are
+    actually shed), but the returned cuts are re-folded seed-by-seed
+    with the policy re-evaluated on each prefix — pool stragglers that
+    completed past the stopping point are discarded, making the
+    incumbent and the stop decision bit-identical across worker counts,
+    cache states and ``resume``.
     """
     runs = effective_runs(partitioner, runs)
     if audit is not None and not getattr(partitioner, "supports_audit", False):
@@ -250,10 +274,11 @@ def run_many(
             stacklevel=2,
         )
         audit = None
-    if recorder is not None and (engine is not None or parallel):
+    if recorder is not None and engine is not None:
         warnings.warn(
             "telemetry recorders are not picklable; ignoring recorder for "
-            "engine-path runs (phase timings still aggregate via stats)",
+            "runs through an explicit engine (phase timings still "
+            "aggregate via stats)",
             UserWarning,
             stacklevel=2,
         )
@@ -268,103 +293,113 @@ def run_many(
             stacklevel=2,
         )
         recorder = None
-    result = MultiRunResult(
-        algorithm=getattr(partitioner, "name", type(partitioner).__name__),
-        circuit=circuit_name,
-        runs=runs,
-        partitioner=partitioner,
-        graph=graph,
-        balance=balance,
+    cell = Cell(partitioner, graph, runs, balance, base_seed, circuit_name,
+                tag=circuit_name)
+    [result] = _run_batch(
+        [cell], engine, audit=audit, run_id=run_id, resume=resume,
+        recorder=recorder, policy=policy,
     )
+    return result
 
-    if engine is None and parallel:
-        from ..engine import Engine, EngineConfig
 
-        engine = Engine(EngineConfig(use_cache=False))
+def _run_batch(
+    cells: Sequence[Cell],
+    engine: Optional["Engine"],
+    audit: Optional["AuditConfig"] = None,
+    run_id: Optional[str] = None,
+    resume: bool = False,
+    recorder: Optional["Recorder"] = None,
+    policy: Optional["RestartPolicy"] = None,
+) -> List[MultiRunResult]:
+    """Run ``cells`` as one engine batch and fold each back in seed order.
+
+    Every best-of-N run executes here.  ``policy`` comes only with the
+    one-cell batch of :func:`run_many`.
+    """
+    from ..engine import Engine, EngineConfig, WorkUnit, seed_stream
+
+    if engine is None:
+        engine = Engine(
+            EngineConfig(workers=0, use_cache=False, recorder=recorder)
+        )
+    units = [
+        WorkUnit(cell.graph, cell.partitioner, seed, cell.balance, cell.tag,
+                 audit)
+        for cell in cells
+        for seed in seed_stream(cell.base_seed, cell.runs)
+    ]
+    stop_check = None
+    if policy is not None:
+        # Streaming hint for the engine: stop scheduling once the
+        # policy would stop on the in-order prefix.  This only sheds
+        # compute — the authoritative decision is re-derived in _fold.
+        seen_cuts: List[float] = []
+        seen_seconds = [0.0]
+
+        def stop_check(unit_result: "UnitResult") -> bool:
+            if unit_result.error is not None:
+                return False
+            seen_cuts.append(unit_result.result.cut)
+            seen_seconds[0] += unit_result.seconds
+            return policy.decide(seen_cuts, seen_seconds[0]).stop
 
     start = time.perf_counter()
-    if engine is not None:
-        from ..engine import WorkUnit, seed_stream
-
-        units = [
-            WorkUnit(
-                graph=graph,
-                partitioner=partitioner,
-                seed=seed,
-                balance=balance,
-                tag=circuit_name,
-                audit=audit,
-            )
-            for seed in seed_stream(base_seed, runs)
-        ]
-        stop_check = None
-        if policy is not None:
-            # Streaming hint for the engine: stop scheduling once the
-            # policy would stop on the in-order prefix.  This only sheds
-            # compute — the authoritative decision is re-derived below.
-            seen_cuts: List[float] = []
-            seen_seconds = [0.0]
-
-            def stop_check(unit_result: object) -> bool:
-                if unit_result.error is not None:
-                    return False
-                seen_cuts.append(unit_result.result.cut)
-                seen_seconds[0] += unit_result.seconds
-                return policy.decide(seen_cuts, seen_seconds[0]).stop
-
-        unit_results = engine.run(
-            units, run_id=run_id, resume=resume, stop_check=stop_check
-        )
-        if policy is None:
-            for unit_result in unit_results:
-                if unit_result.error is not None:
-                    result.errors.append(unit_result)
-                    continue
-                _record(result, unit_result.unit.seed, unit_result.result,
-                        unit_result.seconds)
-        else:
-            # Authoritative fold: walk the contiguous completed prefix
-            # in seed order, re-evaluating the policy after every
-            # successful run.  Stragglers past the stopping point (or
-            # past a drain gap) never enter the aggregate, so the
-            # incumbent and stop decision are independent of completion
-            # order.
-            by_index = {u.index: u for u in unit_results}
-            for idx in range(len(units)):
-                unit_result = by_index.get(idx)
-                if unit_result is None:
-                    break  # drained before this unit completed
-                if unit_result.error is not None:
-                    result.errors.append(unit_result)
-                    continue
-                _record(result, unit_result.unit.seed, unit_result.result,
-                        unit_result.seconds)
-                decision = policy.decide(
-                    result.cuts, sum(result.run_seconds)
-                )
-                if decision.stop:
-                    result.stop_reason = decision.reason
-                    break
+    slots: List[Optional["UnitResult"]] = [None] * len(units)
+    for unit_result in engine.run(
+        units, run_id=run_id, resume=resume, stop_check=stop_check
+    ):
+        slots[unit_result.index] = unit_result
+    results, compute, offset = [], [], 0
+    for cell in cells:
+        cell_slots = slots[offset:offset + cell.runs]
+        offset += cell.runs
+        results.append(_fold(cell, cell_slots, policy))
+        compute.append(sum(u.seconds for u in cell_slots if u is not None))
+    # Split the batch wall clock across the cells in proportion to their
+    # compute, so the per-cell totals sum to the wall clock.
+    wall, total = time.perf_counter() - start, sum(compute)
+    for result, seconds in zip(results, compute):
+        share = seconds / total if total > 0 else 1 / len(cells)
+        result.total_seconds = wall * share
         result.interrupted = engine.interrupted
-    else:
-        kwargs = {} if audit is None else {"audit": audit}
-        if recorder is not None:
-            kwargs["recorder"] = recorder
-        for i in range(runs):
-            seed = base_seed + i
-            run_start = time.perf_counter()
-            one = partitioner.partition(
-                graph, balance=balance, seed=seed, **kwargs
-            )
-            _record(result, seed, one, time.perf_counter() - run_start)
+    return results
+
+
+def _fold(
+    cell: Cell,
+    slots: Sequence[Optional["UnitResult"]],
+    policy: Optional["RestartPolicy"],
+) -> MultiRunResult:
+    """Fold one cell's unit results into its aggregate, in seed order.
+
+    ``slots[i]`` holds seed ``base_seed + i``, or ``None`` when a drain
+    cut the batch short before it ran.  Failed runs land in ``errors``.
+    Under a ``policy`` the fold walks only the contiguous completed
+    prefix and re-evaluates the policy after every successful run:
+    stragglers past the stopping point (or past a drain gap) never enter
+    the aggregate, so the incumbent and the stop decision are
+    independent of completion order.
+    """
+    name = getattr(cell.partitioner, "name", type(cell.partitioner).__name__)
+    result = MultiRunResult(
+        algorithm=name, circuit=cell.circuit_name, runs=cell.runs,
+        partitioner=cell.partitioner, graph=cell.graph, balance=cell.balance,
+    )
+    for unit_result in slots:
+        if unit_result is None:
             if policy is not None:
-                decision = policy.decide(
-                    result.cuts, sum(result.run_seconds)
-                )
-                if decision.stop:
-                    result.stop_reason = decision.reason
-                    break
-    result.total_seconds = time.perf_counter() - start
+                break
+            continue
+        if unit_result.error is not None:
+            result.errors.append(unit_result)
+            continue
+        _record(result, unit_result.unit.seed, unit_result.result,
+                unit_result.seconds)
+        if policy is not None:
+            decision = policy.decide(result.cuts, sum(result.run_seconds))
+            if decision.stop:
+                result.stop_reason = decision.reason
+                break
     return result
 
 

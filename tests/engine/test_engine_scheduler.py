@@ -160,12 +160,3 @@ class TestSequentialParallelParity:
         assert parallel.seeds == sequential.seeds
         assert parallel.best.sides == sequential.best.sides
         assert engine.stats.pool_executed == 4
-
-    def test_parallel_flag_matches_sequential(self):
-        graph = self.CIRCUITS["t6"]
-        sequential = run_many(FMPartitioner("bucket"), graph, runs=6,
-                              base_seed=7)
-        parallel = run_many(FMPartitioner("bucket"), graph, runs=6,
-                            base_seed=7, parallel=True)
-        assert parallel.cuts == sequential.cuts
-        assert parallel.seeds == sequential.seeds

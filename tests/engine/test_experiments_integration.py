@@ -67,6 +67,81 @@ class TestTablesThroughEngine:
                 assert cell.seconds_per_run > 0
 
 
+    def test_cell_phase_seconds_same_keys_either_way(self):
+        kwargs = dict(scale=0.05, runs_scale=0.1, names=["balu"])
+        plain = run_table3(**kwargs)
+        engined = run_table3(**kwargs, engine=_inline_engine())
+        for circuit, row in plain.rows.items():
+            for alg, cell in row.items():
+                other = engined.rows[circuit][alg]
+                assert set(other.phase_seconds) == set(cell.phase_seconds)
+        assert plain.rows["balu"]["PROP"].phase_seconds
+
+
+class TestCollectedFailures:
+    """Under ``on_error='collect'`` a failed run is never dereferenced:
+    it lands in its table cell's ``errors`` or drops out of its sweep
+    point."""
+
+    def test_table_cell_keeps_failed_seed_in_errors(self, tiny_graph):
+        from repro.experiments.tables import _run_comparison
+        from repro.partition import BalanceConstraint
+        from repro.testing import FlakyPartitioner
+
+        table = _run_comparison(
+            "flaky",
+            [("FLAKY", FlakyPartitioner(failing_seeds=[1]), 3)],
+            {"tiny": tiny_graph},
+            BalanceConstraint.fifty_fifty,
+            reference="FLAKY",
+            engine=_inline_engine(on_error="collect"),
+        )
+        cell = table.rows["tiny"]["FLAKY"]
+        assert cell.cuts == [0.0, 2.0]
+        assert cell.seeds == [0, 2]
+        assert [failed.unit.seed for failed in cell.errors] == [1]
+
+    def test_sweep_folds_surviving_runs(self):
+        from repro.core import PropConfig, PropPartitioner
+        from repro.faults import FaultPlan, injected_faults
+        from repro.hypergraph import small_instance
+        from repro.multirun import run_many
+
+        graph = small_instance((150, 250), 7, 0)
+        grid = {"refinement_iterations": [0, 2]}
+        engine = _inline_engine(on_error="collect")
+        with injected_faults(FaultPlan.parse("seed=3,permanent:0.5")) as inj:
+            swept = sweep_prop_config(graph, grid, runs=4, engine=engine)
+        failed = set()
+        for entry in inj.fired:  # "permanent@<name>|<seed>|<tag>#<attempt>"
+            _, seed, tag = entry.split("@")[1].rsplit("#", 1)[0].split("|")
+            failed.add((tag, int(seed)))
+        assert 0 < len(failed) == engine.stats.unit_errors
+        for index, point in enumerate(swept.points):
+            clean = run_many(
+                PropPartitioner(PropConfig(**point.override_dict())),
+                graph, runs=4,
+            )
+            kept = [
+                cut for seed, cut in zip(clean.seeds, clean.cuts)
+                if (f"#{index}", seed) not in failed
+            ]
+            assert point.best_cut == min(kept)
+            assert point.mean_cut == pytest.approx(sum(kept) / len(kept))
+
+    def test_sweep_point_without_survivors_raises_value_error(self):
+        from repro.faults import FaultPlan, injected_faults
+        from repro.hypergraph import small_instance
+
+        graph = small_instance((40, 120), 7, 0)
+        engine = _inline_engine(on_error="collect")
+        with injected_faults(FaultPlan.parse("seed=3,permanent:1.0")):
+            with pytest.raises(ValueError, match="no runs recorded"):
+                sweep_prop_config(
+                    graph, {"pinit": [0.95]}, runs=2, engine=engine
+                )
+
+
 class TestSweepThroughEngine:
     @pytest.fixture(scope="class")
     def circuit(self):

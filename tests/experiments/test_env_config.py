@@ -41,7 +41,7 @@ class TestEnvParsing:
 
 
 class TestEngineFromEnv:
-    def test_unset_means_sequential(self, monkeypatch):
+    def test_unset_means_in_process(self, monkeypatch):
         from repro.experiments.tables import engine_from_env
 
         monkeypatch.delenv("REPRO_ENGINE_WORKERS", raising=False)

@@ -131,29 +131,28 @@ class TestCli:
 
 
 class TestBenchSubcommand:
+    """``bench`` is not a subcommand: the partition mode runs the same
+    pooled, cached best-of-N batches."""
+
     @pytest.mark.slow
     def test_bench_smoke_multiprocess(self, tmp_path, capsys, monkeypatch):
-        """The documented smoke invocation, pool and all."""
+        """The partition mode's pooled batch, pool and all."""
         monkeypatch.chdir(tmp_path)
-        assert main(["bench", "--workers", "2", "--runs", "4"]) == 0
+        assert main([
+            "--generate", "t6", "--scale", "0.06", "-a", "fm", "prop",
+            "--runs", "4", "--workers", "2",
+        ]) == 0
         out = capsys.readouterr().out
         assert "FM-bucket" in out
         assert "PROP" in out
         assert "engine: 2 worker(s)" in out
         assert (tmp_path / ".repro_cache").is_dir()
 
-    def test_bench_inline_no_cache(self, capsys):
-        assert main([
-            "bench", "--workers", "0", "--runs", "2", "--no-cache",
-            "-a", "fm",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "2 unit(s)" in out
-        assert "cache off" in out
-
-    def test_bench_warm_cache_hits(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        args = ["bench", "--workers", "0", "--runs", "3", "-a", "fm"]
+    def test_bench_warm_cache_hits(self, tmp_path, capsys):
+        args = [
+            "--generate", "t6", "--scale", "0.06", "-a", "fm", "--runs", "3",
+            "--workers", "0", "--cache-dir", str(tmp_path / "cache"),
+        ]
         assert main(args) == 0
         first = capsys.readouterr().out
         assert "3 executed" in first
@@ -162,6 +161,22 @@ class TestBenchSubcommand:
         assert "3 cache hit(s)" in second
         assert "0 executed" in second
 
-    def test_bench_unknown_circuit_errors(self):
-        with pytest.raises(SystemExit):
-            main(["bench", "--circuits", "nonsense"])
+    def test_bench_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--workers", "2", "--runs", "4"])
+        assert exc.value.code == 2
+        assert "cannot read netlist 'bench'" in capsys.readouterr().err
+
+
+class TestUnreadableNetlist:
+    def test_missing_file_is_a_usage_error(self, tmp_path, capsys):
+        missing = str(tmp_path / "nosuch.hgr")
+        with pytest.raises(SystemExit) as exc:
+            main([missing])
+        assert exc.value.code == 2
+        assert f"cannot read netlist {missing!r}" in capsys.readouterr().err
+
+    def test_ensemble_solve_missing_file_is_a_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["ensemble", "solve", str(tmp_path / "nosuch.hgr")])
+        assert exc.value.code == 2
