@@ -97,10 +97,24 @@ class ComparisonTable:
         """Best cut recorded for (circuit, algorithm)."""
         return self.rows[circuit][algorithm].best_cut
 
+    def complete_circuits(self) -> List[str]:
+        """Circuits whose every cell has a completed run.
+
+        Under an error-collecting engine a cell can end with none; its
+        circuit then drops out of :meth:`totals`, so that every column's
+        total covers the same circuits.
+        """
+        return [
+            circuit for circuit, row in self.rows.items()
+            if all(row[a].cuts for a in self.algorithms)
+        ]
+
     def totals(self) -> Dict[str, float]:
-        """Total best cut per algorithm over all circuits (paper's last row)."""
+        """Total best cut per algorithm (paper's last row) over the
+        :meth:`complete_circuits`."""
         out = {a: 0.0 for a in self.algorithms}
-        for row in self.rows.values():
+        for circuit in self.complete_circuits():
+            row = self.rows[circuit]
             for a in self.algorithms:
                 out[a] += row[a].best_cut
         return out
@@ -143,7 +157,9 @@ class ComparisonTable:
         Cells read ``best (mean±stddev)`` — the paper reports only the
         best of N, but the error bar is what says whether a column's
         lead is real run-to-run or one lucky restart — plus a final
-        "runs used" row (see :meth:`effective_runs`).
+        "runs used" row (see :meth:`effective_runs`).  A cell with no
+        completed run reads "-", and a last line then says how many
+        circuits the TOTAL row covers (:meth:`complete_circuits`).
         """
         from ..analysis.distribution import cut_distribution
 
@@ -187,6 +203,12 @@ class ComparisonTable:
             f"{self.reference} improvement %: "
             + "  ".join(f"{a}: {imps[a]:+.1f}" for a in imps)
         )
+        covered = len(self.complete_circuits())
+        if covered < len(self.rows):
+            lines.append(
+                f"TOTAL covers {covered} of {len(self.rows)} circuits: "
+                "a circuit with a cell that completed no run is left out"
+            )
         return "\n".join(lines)
 
 

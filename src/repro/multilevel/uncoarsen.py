@@ -19,7 +19,7 @@ drift from the true partition state.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core import PropPartitioner
 from ..datastructures import (
@@ -103,6 +103,9 @@ class UncoarsenState:
         #: of each net a region or rebalance move made critical since
         #: the pin's key was last set (see :meth:`_rerate_neighbors`).
         self.marked: Set[int] = set()
+        #: Each pin the current pass queued, to its Eqn.-1 gain: kept
+        #: current under exact cost sums (see :meth:`_queue`).
+        self.gains: Dict[int, float] = {}
         #: Whether region passes may end early (:func:`pass_can_stop`),
         #: and per net, the region pins on each side that a region pass
         #: has not popped yet (all 0 between passes).
@@ -154,6 +157,18 @@ class UncoarsenState:
         self.cut -= delta
         return delta
 
+    def _queue(self, nodes: Iterable[int]) -> AddressablePriorityQueue:
+        """A pass's queue: each of ``nodes`` keyed by its Eqn.-1 gain,
+        which :attr:`gains` records for :meth:`_rerate_neighbors` to
+        keep current.  Clears every mark."""
+        pq = AddressablePriorityQueue()
+        gains = self.gains = {}
+        for x in nodes:
+            gains[x] = g = self._gain(x)
+            pq.push(x, g)
+        self.marked.clear()
+        return pq
+
     def _rerate_neighbors(self, pq: AddressablePriorityQueue, x: int) -> None:
         """Re-key the still-queued pins of ``x``'s small nets whose gain
         ``x``'s move may have changed.
@@ -165,29 +180,49 @@ class UncoarsenState:
         nets included, are marked; a queued pin of a small net is
         rerated, once, only while marked, and its mark then cleared.
         An unmarked pin's gain is the key it holds, and re-pushing an
-        identical entry would leave the queue as it is."""
+        identical entry would leave the queue as it is.
+
+        With exact cost sums a rerate pushes the pin's recorded gain,
+        which FM's delta rule keeps current: on each such net a pin on A
+        gains ``c`` if ``a == 2`` and ``c`` if ``b == 0``, and a pin on B
+        loses ``c`` if ``a == 1`` and ``c`` if ``b == 1``.  Every partial
+        sum is then an integer of magnitude below 2**53, so the kept gain
+        is :meth:`_gain`'s float whatever the order of its terms.
+        Otherwise a rerate re-sums :meth:`_gain`."""
         dyn = self.dyn
         pins = dyn.pins
         nets = dyn.nets_of[x]
         max_net_size = self.max_net_size
         marked = self.marked
-        if self.sides[x] == 0:
+        sides = self.sides
+        to = sides[x]
+        if to == 0:
             was, now = self.c1, self.c0
         else:
             was, now = self.c0, self.c1
+        gains = self.gains if self.exact else None
+        net_cost = dyn.net_cost
         for net in nets:
-            if was[net] <= 1 or now[net] <= 2:
-                marked.update(pins[net])
-        rerate: Dict[int, None] = {}
+            a = was[net] + 1
+            b = now[net] - 1
+            if a <= 2 or b <= 1:
+                net_pins = pins[net]
+                marked.update(net_pins)
+                if gains is not None:
+                    c = net_cost[net]
+                    on_a = c * ((a == 2) + (b == 0))
+                    on_b = -c * ((a == 1) + (b == 1))
+                    for y in net_pins:
+                        if y in gains:
+                            gains[y] += on_b if sides[y] == to else on_a
+        gain_of = self._gain if gains is None else gains.__getitem__
         for net in nets:
             net_pins = pins[net]
             if 2 <= len(net_pins) <= max_net_size:
                 for y in net_pins:
                     if y in marked and y in pq:
-                        rerate[y] = None
-        for y in rerate:
-            pq.push(y, self._gain(y))
-        marked.difference_update(rerate)
+                        pq.push(y, gain_of(y))
+                        marked.discard(y)
 
     # ------------------------------------------------------------------
     # Uncontraction
@@ -312,10 +347,7 @@ class UncoarsenState:
         dyn = self.dyn
         max_w = max(dyn.node_weight[x] for x in region)
         bounds = self.balance.slackened(max_w)
-        pq = AddressablePriorityQueue()
-        self.marked.clear()
-        for x in region:
-            pq.push(x, self._gain(x))
+        pq = self._queue(region)
         moves: List[int] = []
         cum = 0.0
         best = 0.0
@@ -365,11 +397,10 @@ class UncoarsenState:
             return 0
         dyn = self.dyn
         heavy = 0 if self.side_weights[0] > bal.hi else 1
-        pq = AddressablePriorityQueue()
-        self.marked.clear()
-        for u in range(dyn.num_nodes):
-            if dyn.alive[u] and self.sides[u] == heavy:
-                pq.push(u, self._gain(u))
+        pq = self._queue(
+            u for u in range(dyn.num_nodes)
+            if dyn.alive[u] and self.sides[u] == heavy
+        )
         moved = 0
         while self.side_weights[heavy] > bal.hi + 1e-9:
             entry = pq.pop()

@@ -93,3 +93,60 @@ class TestTable4:
         text = format_table4_times(table)
         assert "TOTAL/run" in text
         assert "FM-bucket" in text
+
+
+class TestCellsWithoutARun:
+    """An error-collecting engine can leave a cell with no completed
+    run: the table renders it, and its totals skip that circuit."""
+
+    def test_format_text_survives_a_cell_whose_runs_all_failed(self):
+        from repro.engine import Engine, EngineConfig
+        from repro.experiments.tables import _run_comparison
+        from repro.hypergraph import make_benchmark
+        from repro.partition import BalanceConstraint
+        from repro.testing.partitioners import (
+            EchoPartitioner,
+            FlakyPartitioner,
+        )
+
+        table = _run_comparison(
+            "echo vs flaky",
+            [
+                ("ECHO", EchoPartitioner(), 2),
+                ("FLAKY", FlakyPartitioner(failing_seeds=[0, 1]), 2),
+            ],
+            {"t6": make_benchmark("t6", scale=0.05)},
+            BalanceConstraint.fifty_fifty,
+            reference="ECHO",
+            engine=Engine(EngineConfig(
+                workers=0, use_cache=False, on_error="collect",
+            )),
+        )
+        text = table.format_text()
+        assert "TOTAL covers 0 of 1 circuits" in text
+        flaky = table.rows["t6"]["FLAKY"]
+        assert flaky.cuts == [] and len(flaky.errors) == 2
+        assert table.complete_circuits() == []
+        assert table.totals() == {"ECHO": 0.0, "FLAKY": 0.0}
+        assert table.improvements() == {"FLAKY": 0.0}
+        assert table.effective_runs() == {"ECHO": 2, "FLAKY": 0}
+
+    def test_totals_cover_the_same_circuits_in_every_column(self):
+        from repro.multirun import MultiRunResult
+        from repro.partition import BipartitionResult
+
+        def cell(algorithm, circuit, cuts):
+            best = BipartitionResult(sides=[], cut=min(cuts)) if cuts else None
+            return MultiRunResult(algorithm, circuit, 2, cuts=cuts, best=best)
+
+        table = ComparisonTable("t", ["A", "B"], reference="A")
+        table.add_as("c1", "A", cell("A", "c1", [5.0, 3.0]))
+        table.add_as("c1", "B", cell("B", "c1", [4.0]))
+        table.add_as("c2", "A", cell("A", "c2", [7.0]))
+        table.add_as("c2", "B", cell("B", "c2", []))
+        assert table.complete_circuits() == ["c1"]
+        assert table.totals() == {"A": 3.0, "B": 4.0}
+        assert table.improvements() == {"B": pytest.approx(25.0)}
+        assert "TOTAL covers 1 of 2 circuits" in table.format_text()
+        del table.rows["c2"]
+        assert "TOTAL covers" not in table.format_text()

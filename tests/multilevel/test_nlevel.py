@@ -17,9 +17,11 @@ Six contracts from docs/multilevel.md are fenced here:
    coarsener re-sums only the partners the contraction can change.
 5. **Exact region rerates** — after every region-refinement and
    rebalance move, each still-queued pin of the moved node's small nets
-   is keyed by its from-scratch Eqn.-1 gain, although its gain is
-   re-summed at most once, and only while a move has marked it: a pin
-   that shares only nets the move leaves non-critical keeps its key.
+   is keyed by its from-scratch Eqn.-1 gain, although it is re-keyed at
+   most once, and only while a move has marked it: a pin that shares
+   only nets the move leaves non-critical keeps its key.  Under integer
+   costs totalling below 2**53 a re-key pushes the gain that FM's deltas
+   kept current, and re-sums nothing; otherwise it re-sums the gain.
 6. **Warm equals cold** — a later bisection of the same netlist object
    replays its memoized hierarchy and matches the first bisection of a
    pickled copy bit for bit; the memo entry dies with the netlist, is
@@ -34,6 +36,7 @@ import sys
 import threading
 import weakref
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -402,17 +405,22 @@ class TestNLevelPartitioner:
 # Hypothesis property suite
 # ---------------------------------------------------------------------------
 @st.composite
-def _graphs(draw, max_nodes=14, max_net_size=5, rich=False):
+def _graphs(draw, max_nodes=14, max_net_size=5, rich=False,
+            integer_costs=False):
     """Weighted, costed random hypergraphs.  ``rich`` redraws the net
-    costs as floats, zeros and repeats, and the node weights as zeros
-    and fractions."""
+    costs as floats, zeros and repeats (integers, zeros and repeats
+    with ``integer_costs``), and the node weights as zeros and
+    fractions."""
     graph = draw(st_repro.hypergraphs(
         min_nodes=2, max_nodes=max_nodes, max_net_size=max_net_size,
         weighted=True, costed=True,
     ))
     if not rich:
         return graph
-    cost = st.sampled_from([0.0, 0.1, 0.2, 0.3, 1.0]) | st.floats(0.0, 4.0)
+    if integer_costs:
+        cost = st.sampled_from([0.0, 1.0, 2.0]) | st.integers(0, 4).map(float)
+    else:
+        cost = st.sampled_from([0.0, 0.1, 0.2, 0.3, 1.0]) | st.floats(0.0, 4.0)
     weight = st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.0, 5.0)
     return Hypergraph(
         graph.nets,
@@ -840,26 +848,62 @@ def _fresh_gain(state, y):
     return g
 
 
+class _CountingQueue(AddressablePriorityQueue):
+    """Counts every push, identical re-keys included."""
+
+    def __init__(self):
+        super().__init__()
+        self.pushes = Counter()
+
+    def push(self, item, priority, payload=None):
+        self.pushes[item] += 1
+        super().push(item, priority, payload)
+
+
+def _counting_queue(state, nodes):
+    """``state``'s pass queue over ``nodes`` as a :class:`_CountingQueue`
+    whose count starts after the build."""
+    with mock.patch.object(
+        uncoarsen, "AddressablePriorityQueue", _CountingQueue
+    ):
+        pq = UncoarsenState._queue(state, nodes)
+    pq.pushes.clear()
+    return pq
+
+
+def _counted_rerate(state, pq, x):
+    """Run ``state._rerate_neighbors(pq, x)``; returns ``(re-keys,
+    _gain calls)`` per pin.  Every ``_gain`` call must find its pin
+    marked."""
+    calls = Counter()
+    gain = state._gain
+
+    def counted(y):
+        assert y in state.marked
+        calls[y] += 1
+        return gain(y)
+
+    pq.pushes.clear()
+    state._gain = counted
+    try:
+        UncoarsenState._rerate_neighbors(state, pq, x)
+    finally:
+        del state._gain
+    return Counter(pq.pushes), calls
+
+
 class _CheckedState(UncoarsenState):
     """Runs the oracle after every region and rebalance move, counting
-    the moves it checked in ``checked``."""
+    the moves it checked in ``checked``, and the re-keys and the re-sums
+    they took in ``rekeys`` and ``resums``."""
 
-    checked = 0
+    checked = rekeys = resums = 0
+
+    def _queue(self, nodes):
+        return _counting_queue(self, nodes)
 
     def _rerate_neighbors(self, pq, x):
-        calls = Counter()
-        gain = self._gain
-
-        def counted(y):
-            assert y in self.marked
-            calls[y] += 1
-            return gain(y)
-
-        self._gain = counted
-        try:
-            super()._rerate_neighbors(pq, x)
-        finally:
-            del self._gain
+        rekeyed, calls = _counted_rerate(self, pq, x)
         dyn = self.dyn
         queued = {
             y
@@ -868,27 +912,26 @@ class _CheckedState(UncoarsenState):
             for y in dyn.pins[net]
             if y in pq
         }
-        assert set(calls) <= queued
-        assert all(count == 1 for count in calls.values())
-        assert not self.marked & set(calls)
+        assert set(rekeyed) <= queued
+        assert all(count == 1 for count in rekeyed.values())
+        assert not self.marked & set(rekeyed)
+        assert calls == (Counter() if self.exact else rekeyed)
         for y in queued:
             assert pq.priority(y) == _fresh_gain(self, y)
-        type(self).checked += 1
+        if self.exact:
+            for y, g in self.gains.items():
+                if y in pq:
+                    assert g == _fresh_gain(self, y)
+        cls = type(self)
+        cls.checked += 1
+        cls.rekeys += len(rekeyed)
+        cls.resums += len(calls)
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    _graphs(max_nodes=20, max_net_size=8, rich=True),
-    st.integers(0, 2**16),
-    st.sampled_from([3, 5, 40]),
-    st.booleans(),
-)
-def test_property_region_rerates_match_from_scratch_gains(
-    graph, seed, max_net_size, lopsided
-):
-    """Uncoarsening with region refinement, then a rebalance; a
-    ``lopsided`` start puts every node on side 0 so the rebalance has
-    work to do."""
+def _checked_uncoarsening(graph, seed, max_net_size, lopsided):
+    """Uncoarsening with region refinement under the oracle, then a
+    rebalance; a ``lopsided`` start puts every node on side 0 so the
+    rebalance has work to do.  Returns the state."""
     dyn, mementos, _ = nlevel_coarsen(
         graph, target_nodes=2, max_net_size=max_net_size
     )
@@ -903,14 +946,45 @@ def test_property_region_rerates_match_from_scratch_gains(
     state.uncoarsen(mementos, refine=True)
     state.rebalance()
     assert state.cut == pytest.approx(cut_cost(graph, state.sides))
+    return state
 
 
-def test_region_rerates_match_from_scratch_gains_in_a_run(monkeypatch):
-    """The whole n-level engine, on an instance whose run makes both
-    region and rebalance moves."""
+@settings(max_examples=80, deadline=None)
+@given(
+    _graphs(max_nodes=20, max_net_size=8, rich=True),
+    st.integers(0, 2**16),
+    st.sampled_from([3, 5, 40]),
+    st.booleans(),
+)
+def test_property_region_rerates_match_from_scratch_gains(
+    graph, seed, max_net_size, lopsided
+):
+    """Mostly fractional costs: a rerate re-sums the gain."""
+    _checked_uncoarsening(graph, seed, max_net_size, lopsided)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    _graphs(max_nodes=20, max_net_size=8, rich=True, integer_costs=True),
+    st.integers(0, 2**16),
+    st.sampled_from([3, 5, 40]),
+    st.booleans(),
+)
+def test_property_region_rerates_match_from_scratch_gains_integer_costs(
+    graph, seed, max_net_size, lopsided
+):
+    """Integer costs: a rerate pushes the gain kept by deltas."""
+    state = _checked_uncoarsening(graph, seed, max_net_size, lopsided)
+    assert state.exact
+
+
+def _checked_run(monkeypatch, graph):
+    """One n-level run of ``graph`` under the oracle, on an instance
+    whose run makes both region and rebalance moves; returns the
+    oracle's ``(rekeys, resums)``."""
     monkeypatch.setattr(uncoarsen, "UncoarsenState", _CheckedState)
-    monkeypatch.setattr(_CheckedState, "checked", 0)
-    graph = hierarchical_circuit(195, 192, 547, seed=0)
+    for counter in ("checked", "rekeys", "resums"):
+        monkeypatch.setattr(_CheckedState, counter, 0)
     balance = BalanceConstraint.from_fractions(graph, 0.495, 0.505)
     res = NLevelPartitioner(coarsest_nodes=60, coarsest_runs=4).partition(
         graph, balance=balance, seed=0
@@ -920,6 +994,52 @@ def test_region_rerates_match_from_scratch_gains_in_a_run(monkeypatch):
     assert _CheckedState.checked >= (
         res.stats["region_moves"] + res.stats["rebalance_moves"]
     )
+    assert _CheckedState.rekeys > 0
+    return _CheckedState.rekeys, _CheckedState.resums
+
+
+def test_region_rerates_match_from_scratch_gains_in_a_run(monkeypatch):
+    """The whole n-level engine with unit costs: no rerate re-sums."""
+    graph = hierarchical_circuit(195, 192, 547, seed=0)
+    _rekeys, resums = _checked_run(monkeypatch, graph)
+    assert resums == 0
+
+
+def test_region_rerates_match_from_scratch_gains_in_a_run_fractional(
+    monkeypatch,
+):
+    """The same circuit with every third net at cost 1.5: every rerate
+    re-sums."""
+    graph = hierarchical_circuit(195, 192, 547, seed=0)
+    graph = graph.with_net_costs(
+        [1.5 if net % 3 == 0 else 1.0 for net in range(graph.num_nets)]
+    )
+    rekeys, resums = _checked_run(monkeypatch, graph)
+    assert resums == rekeys
+
+
+@pytest.mark.parametrize("big", [2.0**53 - 3, 2.0**53], ids=["below", "at"])
+def test_region_rerate_resums_once_costs_reach_2_to_the_53(big):
+    """Pin 0 is alone on side 0 of net 2, of cost ``big``; pins 1 and 2
+    then leave it alone on nets 0 and 1, of cost 1.  ``_gain`` sums 1,
+    1, ``big``.  Costs totalling ``big + 2 < 2**53`` keep the gain by
+    deltas, exactly.  From ``2**53`` on ``exact`` is off: the deltas
+    would round ``2**53 + 1`` to ``2**53`` twice, so the rerate
+    re-sums, and the key is ``_gain``'s ``2**53 + 2``."""
+    graph = Hypergraph(
+        [[0, 1, 3], [0, 2, 3], [0, 3]], net_costs=[1.0, 1.0, big]
+    )
+    balance = BalanceConstraint.fifty_fifty(graph)
+    state = UncoarsenState(DynamicHypergraph(graph), [0, 0, 0, 1], balance)
+    assert state.exact == (big + 2 < 2.0**53)
+    pq = _counting_queue(state, [0])
+    for x in (1, 2):
+        state._apply_move(x)
+        rekeyed, calls = _counted_rerate(state, pq, x)
+        assert rekeyed == Counter([0])
+        assert calls == (Counter() if state.exact else rekeyed)
+        assert pq.priority(0) == _fresh_gain(state, 0)
+    assert pq.priority(0) == big + 2
 
 
 @pytest.mark.parametrize("a", [1, 2, 3, 4])
@@ -928,62 +1048,49 @@ def test_region_rerate_skips_pins_of_non_critical_nets(a, b):
     """Node 0 leaves side 0 of a net with ``a`` pins there (node 0
     included) and ``b`` on side 1.  That changes another pin's Eqn.-1
     term only if ``a <= 2`` or ``b <= 1``; otherwise the other pins,
-    which share only this net with node 0, keep their keys unsummed."""
-    graph = Hypergraph([list(range(a + b))])
-    sides = [0] * a + [1] * b
-    balance = BalanceConstraint.fifty_fifty(graph)
-    state = UncoarsenState(DynamicHypergraph(graph), sides, balance)
-    pq = AddressablePriorityQueue()
-    for y in range(1, a + b):
-        pq.push(y, state._gain(y))
-    state._apply_move(0)
-    calls = Counter()
-    gain = state._gain
-
-    def counted(y):
-        calls[y] += 1
-        return gain(y)
-
-    state._gain = counted
-    state._rerate_neighbors(pq, 0)
-    critical = a <= 2 or b <= 1
-    assert calls == Counter(range(1, a + b) if critical else ())
-    for y in range(1, a + b):
-        assert pq.priority(y) == _fresh_gain(state, y)
+    which share only this net with node 0, keep their keys untouched.
+    Under an integer cost a re-key pushes the kept gain, under a
+    fractional one it re-sums the gain."""
+    for cost in (1.0, 0.5):
+        graph = Hypergraph([list(range(a + b))], net_costs=[cost])
+        sides = [0] * a + [1] * b
+        balance = BalanceConstraint.fifty_fifty(graph)
+        state = UncoarsenState(DynamicHypergraph(graph), sides, balance)
+        pq = _counting_queue(state, range(1, a + b))
+        state._apply_move(0)
+        rekeyed, calls = _counted_rerate(state, pq, 0)
+        critical = a <= 2 or b <= 1
+        assert rekeyed == Counter(range(1, a + b) if critical else ())
+        assert calls == (Counter() if cost == 1.0 else rekeyed)
+        for y in range(1, a + b):
+            assert pq.priority(y) == _fresh_gain(state, y)
 
 
 def test_region_rerate_counts_critical_large_nets():
     """A net above ``max_net_size`` queues no pins, but ``_gain`` sums
     it, so a move that makes it critical marks its pins too.  Node 0's
     move leaves pin 1 alone on side 0 of the large net 0; node 2's move
-    then leaves the small net 1 non-critical, yet pin 1 must be rerated
-    there."""
-    graph = Hypergraph([[0, 1, 3, 4, 5, 9], [1, 2, 6, 7, 8]])
-    sides = [0, 0, 0, 1, 1, 1, 0, 1, 1, 1]
-    balance = BalanceConstraint.fifty_fifty(graph)
-    state = UncoarsenState(
-        DynamicHypergraph(graph), sides, balance, max_net_size=5
-    )
-    pq = AddressablePriorityQueue()
-    for y in range(3, 10):
-        pq.push(y, state._gain(y))
-    pq.push(1, state._gain(1))
-    rerated = []
-    for x in (0, 2):
-        state._apply_move(x)
-        calls = Counter()
-        gain = state._gain
-
-        def counted(y):
-            calls[y] += 1
-            return gain(y)
-
-        state._gain = counted
-        state._rerate_neighbors(pq, x)
-        del state._gain
-        rerated.append(calls)
-    assert rerated == [Counter(), Counter([1])]
-    assert pq.priority(1) == _fresh_gain(state, 1)
+    then leaves the small net 1 non-critical, yet pin 1 must be re-keyed
+    there, with a gain that counts net 0's change.  Under integer costs
+    and under fractional ones."""
+    for cost in (1.0, 0.5):
+        graph = Hypergraph(
+            [[0, 1, 3, 4, 5, 9], [1, 2, 6, 7, 8]], net_costs=[cost, cost]
+        )
+        sides = [0, 0, 0, 1, 1, 1, 0, 1, 1, 1]
+        balance = BalanceConstraint.fifty_fifty(graph)
+        state = UncoarsenState(
+            DynamicHypergraph(graph), sides, balance, max_net_size=5
+        )
+        pq = _counting_queue(state, [*range(3, 10), 1])
+        rerated = []
+        for x in (0, 2):
+            state._apply_move(x)
+            rekeyed, calls = _counted_rerate(state, pq, x)
+            assert calls == (Counter() if cost == 1.0 else rekeyed)
+            rerated.append(rekeyed)
+        assert rerated == [Counter(), Counter([1])]
+        assert pq.priority(1) == _fresh_gain(state, 1)
 
 
 def test_slackened_clamps_to_physical_bounds():
